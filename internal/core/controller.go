@@ -278,8 +278,8 @@ type Controller struct {
 	allocBuf   []int
 	frozenBuf  []bool
 
-	// recycle pools Job objects, their PID filters, and their pressure
-	// series across remove/add cycles; see SetRecycle.
+	// recycle pools Job objects and their PID filters across remove/add
+	// cycles; see SetRecycle.
 	recycle bool
 	// jobSlab backs new Job allocation; freeJob heads the free list of
 	// recycled ones. retired parks removed jobs until the next epoch
@@ -293,9 +293,6 @@ type Controller struct {
 	// freePID pools the per-job PID filters; every pooled filter was
 	// built from cfg.PID, so Reset restores the fresh-filter state.
 	freePID []*pid.Controller
-	// fillNames interns thread-name → "<name>.pressure" so an admission
-	// storm of interned-name threads concatenates each distinct name once.
-	fillNames map[string]string
 	// vetoErr memoizes one OverloadError per rung: the rung string and
 	// retry-after hint are pure per rung at a fixed interval, and callers
 	// only ever read the fields, so an admission storm shares one object
@@ -396,11 +393,11 @@ func New(kern *kernel.Kernel, policy *rbs.Policy, reg *progress.Registry, cfg Co
 func (c *Controller) Config() Config { return c.cfg }
 
 // SetRecycle turns controller-state recycling on or off. When on, a
-// removed job's object — with its PID filter and bounded pressure series —
-// parks on a retired list and is reissued to a later admission after the
-// next epoch prologue, so churn-heavy workloads add and remove jobs
-// without growing the heap. Callers that retain *Job pointers past Remove
-// (the experiments' post-run report readers do) must leave it off.
+// removed job's object — with its PID filter — parks on a retired list
+// and is reissued to a later admission after the next epoch prologue, so
+// churn-heavy workloads add and remove jobs without growing the heap.
+// Callers that retain *Job pointers past Remove (the experiments'
+// post-run report readers do) must leave it off.
 func (c *Controller) SetRecycle(on bool) { c.recycle = on }
 
 // Jobs returns the controlled jobs in registration order.
@@ -677,21 +674,11 @@ func (c *Controller) AddRealRate(t *kernel.Thread, period sim.Duration) *Job {
 	} else {
 		j.period = c.cfg.DefaultPeriod
 	}
-	// The pressure series is only read over recent windows (period
-	// adaptation, tooling), so it is bounded: at 10k+ jobs an unbounded
-	// 100 Hz series per job would dominate the heap. A pooled job reuses
-	// its previous life's series object and capacity, and — when the slot
-	// is reissued to a same-named thread, the steady state of a recycling
-	// storm — the series name too, skipping the concatenation.
-	switch {
-	case j.fill == nil:
-		j.fillFor = t.Name()
-		j.fill = metrics.NewSeries(c.pressureName(j.fillFor)).Bound(8192)
-	case j.fillFor != t.Name():
-		j.fillFor = t.Name()
-		j.fill.Reset(c.pressureName(j.fillFor))
-	default:
-		j.fill.Reset(j.fill.Name)
+	// The pressure series feeds only the period heuristic, so it is kept
+	// only when that runs, and bounded: at 10k+ jobs an unbounded 100 Hz
+	// series per job would dominate the heap.
+	if c.cfg.PeriodAdaptation {
+		j.fill = metrics.NewSeries(t.Name() + ".pressure").Bound(8192)
 	}
 	c.bootstrap(j)
 	return j
@@ -849,8 +836,7 @@ const jobSlabSize = 256
 
 // allocJob returns a scrubbed Job object: from the free pool when
 // recycling has banked one, otherwise carved from the current slab chunk.
-// A pooled object keeps its members backing array and its bounded
-// pressure series (capacity, not contents) from the previous life.
+// A pooled object keeps its members backing array from the previous life.
 func (c *Controller) allocJob() *Job {
 	if j := c.freeJob; j != nil {
 		c.freeJob = j.freeNext
@@ -863,19 +849,6 @@ func (c *Controller) allocJob() *Job {
 	j := &c.jobSlab[0]
 	c.jobSlab = c.jobSlab[1:]
 	return j
-}
-
-// pressureName returns the interned "<name>.pressure" series label.
-func (c *Controller) pressureName(name string) string {
-	if fn, ok := c.fillNames[name]; ok {
-		return fn
-	}
-	fn := name + ".pressure"
-	if c.fillNames == nil {
-		c.fillNames = make(map[string]string)
-	}
-	c.fillNames[name] = fn
-	return fn
 }
 
 // allocPID returns a fresh-state PID filter for cfg.PID, reusing a pooled
@@ -904,9 +877,7 @@ func (c *Controller) flushRetired() {
 		for k := range j.members {
 			j.members[k] = nil
 		}
-		members := j.members[:0]
-		fill, fillFor := j.fill, j.fillFor
-		*j = Job{members: members, fill: fill, fillFor: fillFor}
+		*j = Job{members: j.members[:0]}
 		j.freeNext = c.freeJob
 		c.freeJob = j
 	}
@@ -1439,7 +1410,12 @@ func (c *Controller) apply(j *Job, prop int, period sim.Duration) {
 	n := len(j.members)
 	share := prop / n
 	rem := prop - share*n
-	for i, t := range j.members {
+	// Index against the live length, not a range copy of the slice
+	// header: an install can run the machine (see below), and a member
+	// that exits meanwhile leaves the job through ThreadExited, which
+	// shrinks j.members in place and nils its tail.
+	for i := 0; i < len(j.members); i++ {
+		t := j.members[i]
 		p := share
 		if i == 0 {
 			p += rem

@@ -7,6 +7,7 @@ import (
 	"time"
 
 	"repro/internal/experiments"
+	"repro/internal/workload/gen"
 )
 
 // TestSLOSweepAttainmentMonotone runs a small attainment sweep and pins
@@ -53,6 +54,27 @@ func TestSLOSweepAttainmentMonotone(t *testing.T) {
 	if high.Sessions.Goodput >= low.Sessions.Goodput {
 		t.Errorf("no degradation from load %g (%.3f) to load %g (%.3f): sweep never saturates",
 			low.Load, low.Sessions.Goodput, high.Load, high.Sessions.Goodput)
+	}
+}
+
+// TestSLOKneeEventPlaneNoPanic is the regression test for a controller
+// crash at a servable load (400 sessions per simulated second on 8 CPUs,
+// rbs under the event-driven plane): installing a job's reservation can
+// run the machine, a member that exits meanwhile shrinks the job's member
+// slice in place, and the actuation loop used to hand the dispatcher the
+// nil thread left in the vacated tail slot. The run must finish with
+// every invariant holding.
+func TestSLOKneeEventPlaneNoPanic(t *testing.T) {
+	sc := gen.Generate(experiments.SLOSpec(1001, 4000, 1.0, 10*time.Second, 8))
+	res, err := sc.Run(gen.RunOpts{Policy: "rbs", Controller: "event"})
+	if err != nil {
+		t.Fatal(err)
+	}
+	for _, v := range res.Report.Violations {
+		t.Errorf("violation: %+v", v)
+	}
+	if res.Report.Sessions.Completed == 0 {
+		t.Fatal("no session completed: the run never served its load")
 	}
 }
 

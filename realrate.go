@@ -109,15 +109,6 @@ type Config struct {
 	// periodic — keeps the classic controller thread and its
 	// byte-identical dispatch schedule.
 	CtlPlane CtlPlaneConfig
-	// DisablePools turns off free-list recycling of the spawn→exit life
-	// cycle: kernel thread slots, reservation segments, scheduler
-	// per-thread state, and controller jobs are then left to the garbage
-	// collector instead of being reissued to later spawns. Recycling is
-	// on by default — it changes no dispatch schedule (pools preserve
-	// enqueue-sequence tie-breaks and observer event order) and cuts
-	// allocation churn by an order of magnitude under open-loop spawn
-	// storms. The knob exists for A/B verification of exactly that claim.
-	DisablePools bool
 }
 
 // ControllerTuning exposes the controller knobs that experiments vary.
@@ -190,11 +181,6 @@ type System struct {
 	// srcRejects counts NaN/Inf values refused by the custom-source
 	// clamping adapter (see customMetric), feeding Health.
 	srcRejects uint64
-
-	// pooled mirrors !Config.DisablePools: exited threads' slots and
-	// controller jobs are recycled, so exits must be reaped eagerly (see
-	// threadExited) and handles carry their slot generation.
-	pooled bool
 
 	started bool
 }
@@ -338,15 +324,17 @@ func NewSystem(cfg Config) *System {
 		// the registry's dirty hook.
 		s.plane = buildPlane(s, cfg.CtlPlane)
 	}
-	if !cfg.DisablePools {
-		s.pooled = true
-		kern.SetRecycle(true)
-		if rbsPol != nil {
-			rbsPol.SetRecycle(true)
-		}
-		if s.ctl != nil {
-			s.ctl.SetRecycle(true)
-		}
+	// Recycle the spawn→exit lifecycle through free lists: kernel thread
+	// slots, scheduler per-thread state and controller jobs are reissued
+	// to later spawns instead of left to the collector. Recycling moves no
+	// dispatch edge (the package's pools-off differential tests pin that)
+	// and keeps churn-heavy machines at a flat live heap.
+	kern.SetRecycle(true)
+	if rbsPol != nil {
+		rbsPol.SetRecycle(true)
+	}
+	if s.ctl != nil {
+		s.ctl.SetRecycle(true)
 	}
 	return s
 }

@@ -8,93 +8,39 @@ import (
 	"repro/internal/sim"
 )
 
-// spawnClass is the Figure 2 taxonomy slot a SpawnOption selects.
-type spawnClass int
+// SpawnOption configures one Spawn call by filling in its SpawnReq. The
+// class options — Reserve, Aperiodic, RealRate, Interactive, Miscellaneous,
+// Unmanaged, InJob — are mutually exclusive; omitting them spawns a
+// miscellaneous thread.
+type SpawnOption func(*SpawnReq) error
 
-const (
-	classDefault spawnClass = iota // no class option: miscellaneous
-	classReserve
-	classAperiodic
-	classRealRate
-	classInteractive
-	classMisc
-	classUnmanaged
-	classMember
-)
-
-func (c spawnClass) String() string {
-	switch c {
-	case classReserve:
-		return "Reserve"
-	case classAperiodic:
-		return "Aperiodic"
-	case classRealRate:
-		return "RealRate"
-	case classInteractive:
-		return "Interactive"
-	case classMisc:
-		return "Miscellaneous"
-	case classUnmanaged:
-		return "Unmanaged"
-	case classMember:
-		return "InJob"
-	default:
-		return "default"
+// setClass records a class option, rejecting a second one; opt names the
+// option for the conflict error.
+func (r *SpawnReq) setClass(c SpawnClass, opt string) error {
+	if r.classOpt != "" {
+		return fmt.Errorf("realrate: conflicting spawn options %s and %s", r.classOpt, opt)
 	}
-}
-
-// spawnSpec accumulates the options of one Spawn call.
-type spawnSpec struct {
-	class   spawnClass
-	ppt     int
-	period  time.Duration
-	sources []ProgressSource
-	member  *Thread
-
-	importance    float64
-	importanceSet bool
-	tickets       int64
-	ticketsSet    bool
-	nice          int
-	niceSet       bool
-	// affinity pins the thread to one CPU; kernel.AffinityAny (the
-	// default) lets the machine place and migrate it.
-	affinity    int
-	affinitySet bool
-}
-
-// setClass records a class-selecting option, rejecting conflicts.
-func (sp *spawnSpec) setClass(c spawnClass) error {
-	if sp.class != classDefault {
-		return fmt.Errorf("realrate: conflicting spawn options %s and %s", sp.class, c)
-	}
-	sp.class = c
+	r.Class, r.classOpt = c, opt
 	return nil
 }
-
-// SpawnOption configures one Spawn call. The class options — Reserve,
-// Aperiodic, RealRate, Interactive, Miscellaneous, Unmanaged, InJob — are
-// mutually exclusive; omitting them spawns a miscellaneous thread.
-type SpawnOption func(*spawnSpec) error
 
 // Reserve requests a hard reservation: proportion in parts-per-thousand
 // over the given period (the paper's real-time class). Admission control
 // may reject the request, in which case Spawn returns the error and the
 // thread is not created.
 func Reserve(proportion int, period time.Duration) SpawnOption {
-	return func(sp *spawnSpec) error {
-		sp.ppt = proportion
-		sp.period = period
-		return sp.setClass(classReserve)
+	return func(r *SpawnReq) error {
+		r.Proportion, r.Period = proportion, period
+		return r.setClass(SpawnReserve, "Reserve")
 	}
 }
 
 // Aperiodic requests an aperiodic real-time reservation: known proportion,
 // no period; the controller assigns the 30 ms default.
 func Aperiodic(proportion int) SpawnOption {
-	return func(sp *spawnSpec) error {
-		sp.ppt = proportion
-		return sp.setClass(classAperiodic)
+	return func(r *SpawnReq) error {
+		r.Proportion = proportion
+		return r.setClass(SpawnAperiodic, "Aperiodic")
 	}
 }
 
@@ -102,46 +48,39 @@ func Aperiodic(proportion int) SpawnOption {
 // proportion (and, with period 0, its period) from the given progress
 // sources. At least one source is required.
 func RealRate(period time.Duration, sources ...ProgressSource) SpawnOption {
-	return func(sp *spawnSpec) error {
-		if len(sources) == 0 {
-			return fmt.Errorf("realrate: RealRate needs at least one progress source")
-		}
-		sp.period = period
-		sp.sources = sources
-		return sp.setClass(classRealRate)
+	return func(r *SpawnReq) error {
+		r.Period, r.Sources = period, sources
+		return r.setClass(SpawnRealRate, "RealRate")
 	}
 }
 
 // Interactive declares a tty-server thread: small period, proportion
 // estimated from its bursts.
 func Interactive() SpawnOption {
-	return func(sp *spawnSpec) error { return sp.setClass(classInteractive) }
+	return func(r *SpawnReq) error { return r.setClass(SpawnInteractive, "Interactive") }
 }
 
 // Miscellaneous declares a thread with no information at all (the default):
 // the constant-pressure heuristic grows its allocation until satisfied or
 // squished.
 func Miscellaneous() SpawnOption {
-	return func(sp *spawnSpec) error { return sp.setClass(classMisc) }
+	return func(r *SpawnReq) error { return r.setClass(SpawnMisc, "Miscellaneous") }
 }
 
 // Unmanaged spawns the thread outside the controller entirely; it runs in
 // the leftover CPU below every registered thread, like unregistered jobs
 // under the prototype's default Linux scheduler.
 func Unmanaged() SpawnOption {
-	return func(sp *spawnSpec) error { return sp.setClass(classUnmanaged) }
+	return func(r *SpawnReq) error { return r.setClass(SpawnUnmanaged, "Unmanaged") }
 }
 
 // InJob spawns the thread as a member of th's job: the paper's "job is a
 // collection of cooperating threads". The job's allocation is split across
 // its members; its progress and usage are their combined metrics and CPU.
 func InJob(th *Thread) SpawnOption {
-	return func(sp *spawnSpec) error {
-		if th == nil {
-			return fmt.Errorf("realrate: InJob(nil)")
-		}
-		sp.member = th
-		return sp.setClass(classMember)
+	return func(r *SpawnReq) error {
+		r.Job = th
+		return r.setClass(SpawnMember, "InJob")
 	}
 }
 
@@ -149,12 +88,11 @@ func InJob(th *Thread) SpawnOption {
 // importance loses less under overload but can never starve others.
 // Ignored under baseline policies, which have no squish.
 func Importance(w float64) SpawnOption {
-	return func(sp *spawnSpec) error {
+	return func(r *SpawnReq) error {
 		if w <= 0 {
 			return fmt.Errorf("realrate: importance must be positive, got %v", w)
 		}
-		sp.importance = w
-		sp.importanceSet = true
+		r.Importance = w
 		return nil
 	}
 }
@@ -163,12 +101,11 @@ func Importance(w float64) SpawnOption {
 // (Stride or Lottery). Spawning with Tickets under any other policy is an
 // error.
 func Tickets(n int64) SpawnOption {
-	return func(sp *spawnSpec) error {
+	return func(r *SpawnReq) error {
 		if n <= 0 {
 			return fmt.Errorf("realrate: tickets must be positive, got %d", n)
 		}
-		sp.tickets = n
-		sp.ticketsSet = true
+		r.tickets = n
 		return nil
 	}
 }
@@ -176,9 +113,8 @@ func Tickets(n int64) SpawnOption {
 // Nice sets the thread's nice value under the Linux baseline policy.
 // Spawning with Nice under any other policy is an error.
 func Nice(n int) SpawnOption {
-	return func(sp *spawnSpec) error {
-		sp.nice = n
-		sp.niceSet = true
+	return func(r *SpawnReq) error {
+		r.nice, r.niceSet = n, true
 		return nil
 	}
 }
@@ -192,15 +128,11 @@ func Nice(n int) SpawnOption {
 // cannot be pulled to an idle CPU, so a pile-up behind another pinned
 // thread is the caller's to resolve.
 func Affinity(cpu int) SpawnOption {
-	return func(sp *spawnSpec) error {
-		if sp.affinitySet {
+	return func(r *SpawnReq) error {
+		if r.placed {
 			return fmt.Errorf("realrate: conflicting Affinity/AnyCPU options")
 		}
-		if cpu < 0 {
-			return fmt.Errorf("realrate: Affinity(%d): CPU must be non-negative", cpu)
-		}
-		sp.affinity = cpu
-		sp.affinitySet = true
+		r.Pinned, r.CPU, r.placed = true, cpu, true
 		return nil
 	}
 }
@@ -209,21 +141,19 @@ func Affinity(cpu int) SpawnOption {
 // exists to make the placement choice explicit at call sites that mix
 // pinned and unpinned spawns.
 func AnyCPU() SpawnOption {
-	return func(sp *spawnSpec) error {
-		if sp.affinitySet {
+	return func(r *SpawnReq) error {
+		if r.placed {
 			return fmt.Errorf("realrate: conflicting Affinity/AnyCPU options")
 		}
-		sp.affinity = kernel.AffinityAny
-		sp.affinitySet = true
+		r.Pinned, r.placed = false, true
 		return nil
 	}
 }
 
 // Spawn creates a thread running prog, classified by the given options
 // (see the paper's Figure 2 taxonomy). With no class option the thread is
-// miscellaneous. Spawn is the single entry point behind the deprecated
-// SpawnRealTime/SpawnAperiodic/SpawnRealRate/SpawnMiscellaneous/
-// SpawnInteractive/SpawnUnmanaged/SpawnIntoJob constructors.
+// miscellaneous. The options fill a SpawnReq, which SpawnFrom then
+// validates and dispatches.
 //
 // Under a baseline policy (see Config.Policy) there is no feedback
 // controller: every class spawns a plain thread, and a Reserve or
@@ -231,20 +161,20 @@ func AnyCPU() SpawnOption {
 // express (tickets equal to the requested ppt under Stride and Lottery;
 // nothing under Linux and RoundRobin).
 func (s *System) Spawn(name string, prog Program, opts ...SpawnOption) (*Thread, error) {
-	sp := spawnSpec{affinity: kernel.AffinityAny}
+	var req SpawnReq
 	for _, opt := range opts {
-		if err := opt(&sp); err != nil {
+		if err := opt(&req); err != nil {
 			return nil, err
 		}
 	}
-	return s.spawnSpecd(name, prog, &sp)
+	return s.SpawnFrom(name, prog, &req)
 }
 
 // SpawnClass selects the Figure 2 taxonomy slot of a SpawnReq. The zero
 // value is miscellaneous, mirroring Spawn with no class option.
 type SpawnClass int
 
-// SpawnReq classes, mirroring the Spawn class options.
+// SpawnReq classes, one per Spawn class option.
 const (
 	// SpawnMisc declares nothing; the constant-pressure heuristic grows
 	// the thread's allocation until satisfied or squished (the default).
@@ -264,11 +194,12 @@ const (
 	SpawnMember
 )
 
-// SpawnReq is the struct form of a Spawn call for allocation-sensitive
-// callers: an open-loop storm driver can hold one SpawnReq (and its
-// Sources backing array) and reuse it for every admission, where the
-// variadic Spawn builds an options slice and a closure per option on each
-// call. Semantics are identical to the equivalent Spawn options.
+// SpawnReq is one spawn request: the struct the Spawn options fill, and
+// the argument of SpawnFrom for allocation-sensitive callers — an
+// open-loop storm driver can hold one SpawnReq (and its Sources backing
+// array) and reuse it for every admission, where the variadic Spawn
+// builds an options slice and a closure per option on each call. A field
+// the chosen class does not use is ignored.
 type SpawnReq struct {
 	// Class selects the taxonomy slot; the zero value is miscellaneous.
 	Class SpawnClass
@@ -287,65 +218,44 @@ type SpawnReq struct {
 	// the machine place and migrate the thread).
 	Pinned bool
 	CPU    int
+
+	// The rest is set only by options. classOpt names the class option
+	// already given and placed records an Affinity/AnyCPU, so a second one
+	// is a conflict; tickets (0 = unset) and nice carry the baseline-only
+	// options.
+	classOpt string
+	placed   bool
+	tickets  int64
+	nice     int
+	niceSet  bool
 }
 
 // SpawnFrom creates a thread running prog, classified by req. It is
-// Spawn for hot paths: no option closures, no variadic slice, and a spec
-// that never escapes to the heap.
+// Spawn for hot paths: no option closures, no variadic slice, and a
+// request that never escapes to the heap.
 func (s *System) SpawnFrom(name string, prog Program, req *SpawnReq) (*Thread, error) {
-	sp := spawnSpec{affinity: kernel.AffinityAny}
-	switch req.Class {
-	case SpawnMisc:
-		sp.class = classMisc
-	case SpawnReserve:
-		sp.class = classReserve
-		sp.ppt, sp.period = req.Proportion, req.Period
-	case SpawnAperiodic:
-		sp.class = classAperiodic
-		sp.ppt = req.Proportion
-	case SpawnRealRate:
-		if len(req.Sources) == 0 {
-			return nil, fmt.Errorf("realrate: SpawnRealRate needs at least one progress source")
-		}
-		sp.class = classRealRate
-		sp.period, sp.sources = req.Period, req.Sources
-	case SpawnInteractive:
-		sp.class = classInteractive
-	case SpawnUnmanaged:
-		sp.class = classUnmanaged
-	case SpawnMember:
-		if req.Job == nil {
-			return nil, fmt.Errorf("realrate: SpawnMember needs a Job thread")
-		}
-		sp.class = classMember
-		sp.member = req.Job
-	default:
+	switch {
+	case req.Class < SpawnMisc || req.Class > SpawnMember:
 		return nil, fmt.Errorf("realrate: unknown SpawnClass %d", req.Class)
+	case req.Class == SpawnRealRate && len(req.Sources) == 0:
+		return nil, fmt.Errorf("realrate: RealRate needs at least one progress source")
+	case req.Class == SpawnMember && req.Job == nil:
+		return nil, fmt.Errorf("realrate: InJob needs a job thread")
+	case req.Importance < 0:
+		return nil, fmt.Errorf("realrate: importance must be positive, got %v", req.Importance)
+	case req.Pinned && req.CPU < 0:
+		return nil, fmt.Errorf("realrate: Affinity(%d): CPU must be non-negative", req.CPU)
+	case req.Pinned && req.CPU >= s.kern.NumCPUs():
+		return nil, fmt.Errorf("realrate: Affinity(%d) outside the machine's %d CPUs", req.CPU, s.kern.NumCPUs())
 	}
-	if req.Importance != 0 {
-		if req.Importance < 0 {
-			return nil, fmt.Errorf("realrate: importance must be positive, got %v", req.Importance)
-		}
-		sp.importance, sp.importanceSet = req.Importance, true
-	}
+	affinity := kernel.AffinityAny
 	if req.Pinned {
-		if req.CPU < 0 {
-			return nil, fmt.Errorf("realrate: Affinity(%d): CPU must be non-negative", req.CPU)
-		}
-		sp.affinity, sp.affinitySet = req.CPU, true
-	}
-	return s.spawnSpecd(name, prog, &sp)
-}
-
-// spawnSpecd is the class dispatch shared by Spawn and SpawnFrom.
-func (s *System) spawnSpecd(name string, prog Program, sp *spawnSpec) (*Thread, error) {
-	if sp.affinity != kernel.AffinityAny && sp.affinity >= s.kern.NumCPUs() {
-		return nil, fmt.Errorf("realrate: Affinity(%d) outside the machine's %d CPUs", sp.affinity, s.kern.NumCPUs())
+		affinity = req.CPU
 	}
 	if s.ctl == nil {
-		return s.spawnBaseline(name, prog, sp)
+		return s.spawnBaseline(name, prog, req, affinity)
 	}
-	if sp.ticketsSet || sp.niceSet {
+	if req.tickets != 0 || req.niceSet {
 		return nil, fmt.Errorf("realrate: Tickets/Nice apply to baseline policies, not %s", s.policy.Name())
 	}
 
@@ -355,40 +265,47 @@ func (s *System) spawnSpecd(name string, prog Program, sp *spawnSpec) (*Thread, 
 	// backpressure instead of joining an already-saturated squish.
 	// Unmanaged threads (outside the controller) and members joining an
 	// existing job are not new admissions.
-	if sp.class != classUnmanaged && sp.class != classMember {
+	if req.Class != SpawnUnmanaged && req.Class != SpawnMember {
 		if err := s.ctl.AdmissionVeto(); err != nil {
-			s.fireAdmission(AdmissionEvent{
-				Time: s.Now(), Requested: sp.ppt, Period: sp.period,
-				Accepted: false, Err: err,
-			})
+			ev := AdmissionEvent{Time: s.Now(), Accepted: false, Err: err}
+			switch req.Class {
+			case SpawnReserve:
+				ev.Requested, ev.Period = req.Proportion, req.Period
+			case SpawnAperiodic:
+				ev.Requested = req.Proportion
+			case SpawnRealRate:
+				ev.Period = req.Period
+			}
+			s.fireAdmission(ev)
 			return nil, err
 		}
 	}
 
-	if sp.class == classMember {
-		if sp.member.exited {
-			return nil, fmt.Errorf("realrate: cannot add members to job of exited thread %q", sp.member.name)
+	if req.Class == SpawnMember {
+		lead := req.Job
+		if lead.exited {
+			return nil, fmt.Errorf("realrate: cannot add members to job of exited thread %q", lead.name)
 		}
-		if sp.member.job == nil {
+		if lead.job == nil {
 			return nil, fmt.Errorf("realrate: cannot add members to an unmanaged thread")
 		}
-		if sp.importanceSet {
+		if req.Importance != 0 {
 			// Importance belongs to the whole job, not one member; silently
 			// reweighting the job here would be surprising.
 			return nil, fmt.Errorf("realrate: Importance cannot be combined with InJob; set it on the job's primary thread")
 		}
-		member := s.spawn(name, prog, sp.affinity)
-		member.job = sp.member.job
+		member := s.spawn(name, prog, affinity)
+		member.job = lead.job
 		s.ctl.AddMember(member.job, member.t)
 		return member, nil
 	}
 
-	th := s.spawn(name, prog, sp.affinity)
-	switch sp.class {
-	case classReserve:
-		job, err := s.ctl.AddRealTime(th.t, sp.ppt, sim.FromStd(sp.period))
+	th := s.spawn(name, prog, affinity)
+	switch req.Class {
+	case SpawnReserve:
+		job, err := s.ctl.AddRealTime(th.t, req.Proportion, sim.FromStd(req.Period))
 		s.fireAdmission(AdmissionEvent{
-			Time: s.Now(), Thread: th, Requested: sp.ppt, Period: sp.period,
+			Time: s.Now(), Thread: th, Requested: req.Proportion, Period: req.Period,
 			Accepted: err == nil, Err: err,
 		})
 		if err != nil {
@@ -397,10 +314,10 @@ func (s *System) spawnSpecd(name string, prog Program, sp *spawnSpec) (*Thread, 
 			return nil, err
 		}
 		th.job = job
-	case classAperiodic:
-		job, err := s.ctl.AddAperiodicRealTime(th.t, sp.ppt)
+	case SpawnAperiodic:
+		job, err := s.ctl.AddAperiodicRealTime(th.t, req.Proportion)
 		s.fireAdmission(AdmissionEvent{
-			Time: s.Now(), Thread: th, Requested: sp.ppt,
+			Time: s.Now(), Thread: th, Requested: req.Proportion,
 			Accepted: err == nil, Err: err,
 		})
 		if err != nil {
@@ -408,60 +325,62 @@ func (s *System) spawnSpecd(name string, prog Program, sp *spawnSpec) (*Thread, 
 			return nil, err
 		}
 		th.job = job
-	case classRealRate:
-		for _, src := range sp.sources {
+	case SpawnRealRate:
+		for _, src := range req.Sources {
 			s.registerSource(th, src)
 		}
-		th.job = s.ctl.AddRealRate(th.t, sim.FromStd(sp.period))
-	case classInteractive:
+		th.job = s.ctl.AddRealRate(th.t, sim.FromStd(req.Period))
+	case SpawnInteractive:
 		th.job = s.ctl.AddInteractive(th.t)
-	case classUnmanaged:
+	case SpawnUnmanaged:
 		// Outside the controller: job stays nil.
-	default: // classMisc and no class option
+	default: // SpawnMisc
 		th.job = s.ctl.AddMiscellaneous(th.t)
 	}
-	if sp.importanceSet {
+	if req.Importance != 0 {
 		if th.job == nil {
 			s.removeThread(th)
 			return nil, fmt.Errorf("realrate: importance needs a controller-managed thread")
 		}
-		s.ctl.SetImportance(th.job, sp.importance)
+		s.ctl.SetImportance(th.job, req.Importance)
 	}
 	return th, nil
 }
 
 // spawnBaseline creates a thread under a controller-less baseline policy,
-// mapping the spec to whatever the policy can express.
-func (s *System) spawnBaseline(name string, prog Program, sp *spawnSpec) (*Thread, error) {
-	if sp.class == classMember {
+// mapping the request to whatever the policy can express.
+func (s *System) spawnBaseline(name string, prog Program, req *SpawnReq, affinity int) (*Thread, error) {
+	if req.Class == SpawnMember {
 		return nil, fmt.Errorf("realrate: policy %s has no jobs; spawn a plain thread instead", s.policy.Name())
 	}
-	th := s.spawn(name, prog, sp.affinity)
-	for _, src := range sp.sources {
-		// Progress sources still register, so tools can sample pressure
-		// even though no controller consumes it.
-		s.registerSource(th, src)
+	th := s.spawn(name, prog, affinity)
+	if req.Class == SpawnRealRate {
+		for _, src := range req.Sources {
+			// Progress sources still register, so tools can sample pressure
+			// even though no controller consumes it.
+			s.registerSource(th, src)
+		}
 	}
-	if sp.ticketsSet {
+	if req.tickets != 0 {
 		tp, ok := s.ticketPolicy()
 		if !ok {
 			s.removeThread(th)
 			return nil, fmt.Errorf("realrate: policy %s does not take tickets", s.policy.Name())
 		}
-		tp.SetTickets(th.t, sp.tickets)
-	} else if (sp.class == classReserve || sp.class == classAperiodic) && sp.ppt > 0 {
+		tp.SetTickets(th.t, req.tickets)
+	} else if (req.Class == SpawnReserve || req.Class == SpawnAperiodic) && req.Proportion > 0 {
 		// Degrade a reservation to a proportional share where possible.
 		if tp, ok := s.ticketPolicy(); ok {
-			tp.SetTickets(th.t, int64(sp.ppt))
+			tp.SetTickets(th.t, int64(req.Proportion))
 		}
 	}
-	if sp.niceSet {
+	if req.niceSet {
 		lp, ok := s.policy.(interface{ SetNice(*kernel.Thread, int) })
 		if !ok {
 			s.removeThread(th)
 			return nil, fmt.Errorf("realrate: policy %s does not take nice values", s.policy.Name())
 		}
-		lp.SetNice(th.t, sp.nice)
+		lp.SetNice(th.t, req.nice)
 	}
 	return th, nil
 }
