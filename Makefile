@@ -39,7 +39,7 @@ fuzz:
 	$(GO) test -run '^$$' -fuzz=FuzzChurnSchedules -fuzztime=$(FUZZTIME) .
 	$(GO) test -run '^$$' -fuzz=FuzzFaultSchedule -fuzztime=$(FUZZTIME) ./internal/workload/gen/
 	$(GO) test -run '^$$' -fuzz=FuzzOverloadLadder -fuzztime=$(FUZZTIME) ./internal/overload/
-	$(GO) test -run '^$$' -fuzz=FuzzEventDrivenThresholds -fuzztime=$(FUZZTIME) ./internal/ctlplane/
+	$(GO) test -run '^$$' -fuzz=FuzzEventDrivenThresholds -fuzztime=$(FUZZTIME) ./internal/core/
 
 # stress runs the generated-workload invariant harness wide open: every
 # scenario family × STRESS_SEEDS seeds × all five policies, with failing

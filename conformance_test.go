@@ -129,6 +129,32 @@ func TestPolicyConformance(t *testing.T) {
 	}
 }
 
+// goldenConfigs are the configurations that must reproduce
+// rbs_dispatch.golden: the zero Config, and the same machine with the
+// control loop spelled out as the single periodic shard the zero value
+// means — one configuration, one schedule.
+var goldenConfigs = []struct {
+	name string
+	cfg  realrate.Config
+}{
+	{"default", realrate.Config{}},
+	{"one-periodic-shard", realrate.Config{CtlPlane: realrate.CtlPlaneConfig{Mode: realrate.ControllerPeriodic, Shards: 1}}},
+}
+
+// dispatchTrace runs the conformance scenario for two simulated seconds
+// with tracing on and returns the dispatch trace CSV.
+func dispatchTrace(t *testing.T, sys *realrate.System) string {
+	t.Helper()
+	tr := sys.EnableTracing(0)
+	conformancePipeline(t, sys)
+	sys.Run(2 * time.Second)
+	var sb strings.Builder
+	if err := tr.WriteCSV(&sb); err != nil {
+		t.Fatal(err)
+	}
+	return sb.String()
+}
+
 // TestRBSDispatchTraceGolden replays the conformance scenario under the
 // default policy with tracing enabled and requires the dispatch schedule
 // to be byte-identical to the pre-redesign golden — the proof that the API
@@ -138,18 +164,12 @@ func TestRBSDispatchTraceGolden(t *testing.T) {
 	if err != nil {
 		t.Fatalf("missing golden: %v", err)
 	}
-	sys := realrate.NewSystem(realrate.Config{})
-	tr := sys.EnableTracing(0)
-	conformancePipeline(t, sys)
-	sys.Run(2 * time.Second)
-
-	var sb strings.Builder
-	if err := tr.WriteCSV(&sb); err != nil {
-		t.Fatal(err)
-	}
-	if sb.String() != string(want) {
-		t.Fatalf("dispatch trace diverged from pre-redesign golden (%d bytes vs %d)",
-			sb.Len(), len(want))
+	for _, gc := range goldenConfigs {
+		got := dispatchTrace(t, realrate.NewSystem(gc.cfg))
+		if got != string(want) {
+			t.Fatalf("%s: dispatch trace diverged from pre-redesign golden (%d bytes vs %d)",
+				gc.name, len(got), len(want))
+		}
 	}
 }
 
@@ -164,21 +184,18 @@ func TestSMPOneCPUGoldenEquivalence(t *testing.T) {
 	if err != nil {
 		t.Fatalf("missing golden: %v", err)
 	}
-	sys := realrate.NewSystem(realrate.Config{CPUs: 1})
-	tr := sys.EnableTracing(0)
-	conformancePipeline(t, sys)
-	sys.Run(2 * time.Second)
-
-	var sb strings.Builder
-	if err := tr.WriteCSV(&sb); err != nil {
-		t.Fatal(err)
-	}
-	if sb.String() != string(want) {
-		t.Fatalf("SMP kernel pinned to one CPU diverged from the pre-SMP golden (%d bytes vs %d)",
-			sb.Len(), len(want))
-	}
-	if st := sys.Stats(); st.Migrations != 0 {
-		t.Fatalf("%d migrations on a single-CPU machine", st.Migrations)
+	for _, gc := range goldenConfigs {
+		cfg := gc.cfg
+		cfg.CPUs = 1
+		sys := realrate.NewSystem(cfg)
+		got := dispatchTrace(t, sys)
+		if got != string(want) {
+			t.Fatalf("%s: SMP kernel pinned to one CPU diverged from the pre-SMP golden (%d bytes vs %d)",
+				gc.name, len(got), len(want))
+		}
+		if st := sys.Stats(); st.Migrations != 0 {
+			t.Fatalf("%s: %d migrations on a single-CPU machine", gc.name, st.Migrations)
+		}
 	}
 }
 

@@ -3,8 +3,7 @@ package realrate
 import (
 	"time"
 
-	"repro/internal/ctlplane"
-	"repro/internal/sim"
+	"repro/internal/core"
 )
 
 // ControllerMode selects how the feedback controller samples jobs.
@@ -27,17 +26,19 @@ func (m ControllerMode) String() string {
 	return "periodic"
 }
 
-// CtlPlaneConfig configures the sharded, staggered, event-driven control
-// plane. The zero value keeps the classic single-thread periodic
-// controller with its byte-identical dispatch schedule; any sharding or
-// event-driven setting routes control through internal/ctlplane instead.
+// CtlPlaneConfig configures the controller's control loop. The zero value
+// is one periodic shard: the paper's single 100 Hz controller thread, with
+// its byte-identical dispatch schedule. More shards split the loop across
+// staggered per-CPU threads for machines with very many jobs, and
+// event-driven mode skips jobs whose progress signal is quiet.
 type CtlPlaneConfig struct {
 	// Mode selects periodic or event-driven sampling.
 	Mode ControllerMode
 	// Shards splits the controller across this many staggered shard
 	// threads, each owning the jobs resident on its CPU (thread-hashed on
-	// a uniprocessor). 0 or 1 with Mode periodic keeps the classic
-	// controller.
+	// a uniprocessor). 0 means 1; the count is clamped to 64 and to the
+	// controller reservation's proportion (50 ppt by default), so each
+	// shard holds at least 1 ppt of it.
 	Shards int
 	// Threshold is the raw-pressure delta (fraction of a queue) that makes
 	// a changed signal worth re-sampling in event-driven mode. 0 means
@@ -48,94 +49,36 @@ type CtlPlaneConfig struct {
 	MaxStaleness time.Duration
 }
 
-// legacy reports whether the configuration is satisfied by the classic
-// single-thread periodic controller.
-func (c CtlPlaneConfig) legacy() bool {
-	return c.Mode == ControllerPeriodic && c.Shards <= 1
-}
-
 // ControllerModeName returns the active sampling mode: "periodic",
 // "event", or "none" under a baseline policy with no controller.
 func (s *System) ControllerModeName() string {
 	if s.ctl == nil {
 		return "none"
 	}
-	if s.plane != nil {
-		return s.plane.Mode().String()
+	if s.ctl.Config().EventDriven {
+		return ControllerEventDriven.String()
 	}
-	return "periodic"
+	return ControllerPeriodic.String()
 }
 
-// ControlShards returns the shard count of the control plane: 1 for the
-// classic controller, 0 under baseline policies.
+// ControlShards returns the shard count of the control loop, 0 under
+// baseline policies.
 func (s *System) ControlShards() int {
 	if s.ctl == nil {
 		return 0
 	}
-	if s.plane != nil {
-		return s.plane.Shards()
-	}
-	return 1
+	return s.ctl.Shards()
 }
 
-// ShardStat is one control-plane shard's counters.
-type ShardStat struct {
-	// Shard is the shard index.
-	Shard int
-	// Ticks counts the shard's completed control ticks.
-	Ticks uint64
-	// Sampled and Skipped count job visits that did and did not re-sample
-	// (the classic controller samples everything: Skipped is 0).
-	Sampled uint64
-	Skipped uint64
-	// Handoffs counts jobs re-homed to another shard after migrating.
-	Handoffs uint64
-	// LastSampled and LastSkipped are the most recent tick's work counts.
-	LastSampled int
-	LastSkipped int
-}
+// ShardStat is one control shard's counters. Sampled counts every visited
+// job, reservation holders included.
+type ShardStat = core.ShardStat
 
-// ShardStats returns per-shard control-plane counters. Under the classic
-// controller it synthesizes a single shard from the global sweep's
-// counters; under baseline policies it returns nil.
+// ShardStats returns per-shard control-loop counters, nil under baseline
+// policies.
 func (s *System) ShardStats() []ShardStat {
 	if s.ctl == nil {
 		return nil
 	}
-	if s.plane == nil {
-		n := len(s.ctl.Jobs())
-		return []ShardStat{{
-			Shard:       0,
-			Ticks:       s.ctl.Steps(),
-			Sampled:     s.ctl.Samples(),
-			LastSampled: n,
-		}}
-	}
-	stats := s.plane.Stats()
-	out := make([]ShardStat, len(stats))
-	for i, st := range stats {
-		out[i] = ShardStat{
-			Shard: st.Shard, Ticks: st.Ticks, Sampled: st.Sampled, Skipped: st.Skipped,
-			Handoffs: st.Handoffs, LastSampled: st.LastSampled, LastSkipped: st.LastSkipped,
-		}
-	}
-	return out
-}
-
-// buildPlane constructs the internal control plane for a non-legacy
-// configuration.
-func buildPlane(s *System, cfg CtlPlaneConfig) *ctlplane.Plane {
-	mode := ctlplane.Periodic
-	if cfg.Mode == ControllerEventDriven {
-		mode = ctlplane.EventDriven
-	}
-	pcfg := ctlplane.Config{
-		Mode:      mode,
-		Shards:    cfg.Shards,
-		Threshold: cfg.Threshold,
-	}
-	if cfg.MaxStaleness > 0 {
-		pcfg.MaxStaleness = sim.FromStd(cfg.MaxStaleness)
-	}
-	return ctlplane.New(s.ctl, s.kern, s.rbs, s.reg, pcfg)
+	return s.ctl.ShardStats()
 }

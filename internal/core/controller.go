@@ -8,10 +8,14 @@
 // squishes real-rate/miscellaneous allocations under overload using
 // importance-weighted fair share.
 //
-// The controller runs as a simulated thread with its own reservation, so
-// its overhead — base cost plus a per-controlled-job cost each interval —
-// competes for the CPU exactly as the paper's user-level prototype did
-// (Figure 5 measures precisely this).
+// The controller runs as simulated shard threads under its own
+// reservation, so its overhead — base cost plus a per-controlled-job cost
+// each interval — competes for the CPU exactly as the paper's user-level
+// prototype did (Figure 5 measures precisely this). The zero Config runs
+// one periodic shard: the prototype's single 100 Hz controller thread.
+// More shards split the job set across staggered per-CPU threads, and
+// event-driven sampling lets a shard skip jobs whose signal is quiet (see
+// plane.go).
 package core
 
 import (
@@ -111,6 +115,22 @@ type Config struct {
 	// WatchdogRecovery is how many consecutive moving samples promote a
 	// degraded job one rung back up.
 	WatchdogRecovery int
+
+	// EventDriven selects event-driven sampling: a shard re-samples a job
+	// only when its progress signal moved at least Threshold since the
+	// last sample, or when MaxStaleness elapsed. Off (the default), every
+	// job is sampled every interval, as in the paper.
+	EventDriven bool
+	// Shards is the number of control shard threads, clamped to
+	// [1, min(64, Reservation.Proportion)] so every shard holds at least
+	// 1 ppt of the controller's reservation. Zero means one.
+	Shards int
+	// Threshold is the raw-pressure delta that makes a dirty signal worth
+	// re-sampling in event-driven mode. Zero means 0.05 (5% of a queue).
+	Threshold float64
+	// MaxStaleness bounds how long any job can go un-sampled in
+	// event-driven mode. Zero means 10 control intervals.
+	MaxStaleness sim.Duration
 }
 
 // DefaultConfig returns the calibration used throughout the experiments.
@@ -187,17 +207,12 @@ type Controller struct {
 	jobs  []*Job
 	byThr map[*kernel.Thread]*Job
 
-	thread   *kernel.Thread
-	nextWake sim.Time
-	phase    int
-	// external marks a controller driven by the sharded control plane
-	// (internal/ctlplane) instead of its own thread; Start panics then.
-	external bool
-
-	// computeOp/sleepOp are reused every control interval so the
-	// controller's 100 Hz program emits ops without boxing.
-	computeOp kernel.OpCompute
-	sleepOp   kernel.OpSleepUntil
+	// shards split the job set; each is one simulated control thread
+	// (see plane.go). epoch counts control epochs opened so far, and
+	// stalenessEpochs is MaxStaleness in control intervals.
+	shards          []*shard
+	epoch           int64
+	stalenessEpochs int64
 
 	// admitted sums the proportions of real-time and aperiodic real-time
 	// reservations plus the controller's own.
@@ -257,36 +272,32 @@ type Controller struct {
 	govLastMisses    uint64
 	govLastDemotions uint64
 
-	steps      uint64
 	actuations uint64
-	// samples counts adaptive-job feedback samples (pass-1 evaluations),
-	// the denominator of the event-driven mode's skip ratio.
-	samples uint64
 
-	// onJobAdd/onJobRemove announce membership changes to an external
-	// control plane (internal/ctlplane), which owns per-shard job lists.
-	// Nil outside sharded/event-driven configurations.
-	onJobAdd    func(j *Job)
-	onJobRemove func(j *Job)
-
-	// Persistent per-interval scratch: step reslices these to zero length
-	// each interval instead of allocating, so a controller tick is
-	// allocation-free after warm-up (asserted by TestControllerStepZeroAlloc).
-	squishable []*Job
-	desireBuf  []int
-	weightBuf  []float64
-	allocBuf   []int
-	frozenBuf  []bool
+	// Persistent per-tick scratch, shared by the shards (their ticks are
+	// serialized by the simulation): each tick reslices these to zero
+	// length instead of allocating, so a control epoch is allocation-free
+	// after warm-up (asserted by TestControllerStepZeroAlloc).
+	squishable  []*Job
+	desireBuf   []int
+	weightBuf   []float64
+	preAllocBuf []int
+	allocBuf    []int
+	frozenBuf   []bool
+	// moves stages jobs re-homed during a shard walk; adaptiveBuf collects
+	// every adaptive job an event-mode tick visits, so an over-committed
+	// shard can squish its whole list.
+	moves       []*Job
+	adaptiveBuf []*Job
 
 	// recycle pools Job objects and their PID filters across remove/add
 	// cycles; see SetRecycle.
 	recycle bool
 	// jobSlab backs new Job allocation; freeJob heads the free list of
-	// recycled ones. retired parks removed jobs until the next epoch
-	// prologue flushes them to the free list: a job removed mid-step (a
-	// wake during actuation can dispatch a program that exits) may still
-	// be referenced by that step's squishable scratch, so reissue must
-	// wait for the epoch boundary.
+	// recycled ones. retired parks removed jobs, once their shard has
+	// dropped them from its list, until the next epoch prologue flushes
+	// them to the free list: a pending delayed actuation may still name a
+	// retired job, so reissue must wait for the epoch boundary.
 	jobSlab []Job
 	freeJob *Job
 	retired []*Job
@@ -376,8 +387,15 @@ func New(kern *kernel.Kernel, policy *rbs.Policy, reg *progress.Registry, cfg Co
 	if cfg.WatchdogRecovery == 0 {
 		cfg.WatchdogRecovery = def.WatchdogRecovery
 	}
+	cfg.Shards = max(min(cfg.Shards, maxShards, cfg.Reservation.Proportion), 1)
+	if cfg.Threshold <= 0 {
+		cfg.Threshold = 0.05
+	}
+	if cfg.MaxStaleness <= 0 {
+		cfg.MaxStaleness = 10 * cfg.Interval
+	}
 	ncpu := kern.NumCPUs()
-	return &Controller{
+	c := &Controller{
 		cfg:                cfg,
 		kern:               kern,
 		policy:             policy,
@@ -386,7 +404,15 @@ func New(kern *kernel.Kernel, policy *rbs.Policy, reg *progress.Registry, cfg Co
 		ncpu:               ncpu,
 		ceiling:            cfg.OverloadThreshold * ncpu,
 		effectiveThreshold: cfg.OverloadThreshold * ncpu,
+		stalenessEpochs:    max((int64(cfg.MaxStaleness)+int64(cfg.Interval)-1)/int64(cfg.Interval), 1),
 	}
+	for s := 0; s < cfg.Shards; s++ {
+		c.shards = append(c.shards, &shard{id: s})
+	}
+	if cfg.EventDriven {
+		reg.SetDirtyHook(c.markDirty)
+	}
+	return c
 }
 
 // Config returns the resolved configuration.
@@ -409,28 +435,12 @@ func (c *Controller) JobOf(t *kernel.Thread) (*Job, bool) {
 	return j, ok
 }
 
-// Thread returns the controller's own thread (nil before Start).
-func (c *Controller) Thread() *kernel.Thread { return c.thread }
-
-// Steps returns the number of control intervals executed.
-func (c *Controller) Steps() uint64 { return c.steps }
+// Steps returns the number of control epochs opened so far.
+func (c *Controller) Steps() uint64 { return uint64(c.epoch) }
 
 // Actuations returns the number of reservation changes sent to the
 // dispatcher.
 func (c *Controller) Actuations() uint64 { return c.actuations }
-
-// Samples returns the number of adaptive-job feedback samples taken — in
-// the periodic sweep this grows by the adaptive job count every interval;
-// in event-driven mode, only by the jobs actually re-sampled.
-func (c *Controller) Samples() uint64 { return c.samples }
-
-// OnJobChange installs the membership hooks an external control plane uses
-// to maintain per-shard job lists: add fires after a job is registered,
-// remove after it leaves (Remove or reap). Either may be nil.
-func (c *Controller) OnJobChange(add, remove func(j *Job)) {
-	c.onJobAdd = add
-	c.onJobRemove = remove
-}
 
 // Exceptions returns the quality exceptions raised so far.
 func (c *Controller) Exceptions() []QualityException { return c.exceptions }
@@ -575,37 +585,6 @@ func (c *Controller) Health() Health {
 
 // EffectiveThreshold returns the current admission/squish ceiling.
 func (c *Controller) EffectiveThreshold() int { return c.effectiveThreshold }
-
-// Start spawns the controller's thread under its own reservation. It must
-// be called before kernel.Start or during the run, once.
-func (c *Controller) Start() {
-	if c.thread != nil {
-		panic("core: controller started twice")
-	}
-	if c.external {
-		panic("core: controller is driven by an external control plane")
-	}
-	c.thread = c.kern.Spawn("controller", kernel.ProgramFunc(c.program))
-	if err := c.policy.SetReservation(c.thread, c.cfg.Reservation); err != nil {
-		panic(fmt.Sprintf("core: controller reservation: %v", err))
-	}
-	c.admitted += c.cfg.Reservation.Proportion
-	c.nextWake = c.kern.Now().Add(c.cfg.Interval)
-}
-
-// program is the controller thread: burn the modeled cost, act, sleep.
-func (c *Controller) program(t *kernel.Thread, now sim.Time) kernel.Op {
-	c.phase++
-	if c.phase%2 == 1 {
-		c.computeOp.Cycles = c.cfg.BaseCost + sim.Cycles(len(c.jobs))*c.cfg.PerJobCost
-		return &c.computeOp
-	}
-	c.step(now)
-	wake := c.nextWake
-	c.nextWake = c.nextWake.Add(c.cfg.Interval)
-	c.sleepOp.At = wake
-	return &c.sleepOp
-}
 
 // AddRealTime admits a reservation-holding job. Admission control rejects
 // requests beyond the available capacity, and — on a multi-CPU machine —
@@ -792,12 +771,9 @@ func (c *Controller) Remove(j *Job) {
 		c.policy.Unregister(t)
 		c.reg.Unregister(t)
 	}
-	if c.onJobRemove != nil {
-		c.onJobRemove(j)
-	}
-	if c.recycle {
-		c.retired = append(c.retired, j)
-	}
+	// The owning shard drops the job from its list at its next visit.
+	j.removed = true
+	c.shards[j.shard].live--
 }
 
 // ThreadExited tears down one exited member thread's controller state
@@ -828,7 +804,16 @@ func (c *Controller) ThreadExited(t *kernel.Thread) {
 		c.Remove(j)
 		return
 	}
-	j.thread = j.members[0]
+	c.setPrimary(j)
+}
+
+// setPrimary makes the job's first member its primary thread and
+// refreshes the cached home shard, which follows the primary.
+func (c *Controller) setPrimary(j *Job) {
+	if j.thread != j.members[0] {
+		j.thread = j.members[0]
+		c.rehome(j, c.homeOf(j))
+	}
 }
 
 // jobSlabSize is how many Job objects one slab chunk holds.
@@ -865,9 +850,9 @@ func (c *Controller) allocPID() *pid.Controller {
 	return pid.New(c.cfg.PID)
 }
 
-// flushRetired scrubs the jobs removed since the previous epoch and moves
-// them to the free pool. Runs at the epoch prologue only: nothing from the
-// current step can reference them there.
+// flushRetired scrubs the jobs their shards dropped since the previous
+// epoch and moves them to the free pool. Runs at the epoch prologue only,
+// after the delayed actuations that may still name them.
 func (c *Controller) flushRetired() {
 	for i, j := range c.retired {
 		c.retired[i] = nil
@@ -914,9 +899,11 @@ func (c *Controller) addJob(t *kernel.Thread, class Class) *Job {
 	if class.Adaptive() {
 		c.adaptive++
 	}
-	if c.onJobAdd != nil {
-		c.onJobAdd(j)
-	}
+	// lastEpoch 0 makes the home shard visit the job at its next tick.
+	j.shard = c.homeOf(j)
+	sh := c.shards[j.shard]
+	sh.list = append(sh.list, j)
+	sh.live++
 	return j
 }
 
@@ -956,59 +943,11 @@ func (c *Controller) maxMemberShare(j *Job, proportion int) int {
 	return share + (proportion - share*n)
 }
 
-// step is one control interval: sample, estimate, squish, actuate. The
-// sharded control plane (internal/ctlplane) never calls step; it drives the
-// same pieces — EpochPrologue, SampleJob, SquishApply, EpochEpilogue — one
-// shard at a time.
-func (c *Controller) step(now sim.Time) {
-	c.prologue(now)
-	dt := c.cfg.Interval.Seconds()
-
-	// Pass 1: desired allocations. The squish inputs live in persistent
-	// scratch buffers so the 100 Hz loop does not allocate.
-	squishable := c.squishable[:0]
-	desires := c.desireBuf[:0]
-	weights := c.weightBuf[:0]
-	for _, j := range c.jobs {
-		if !c.sampleJob(j, now, dt, 1) {
-			continue
-		}
-		squishable = append(squishable, j)
-		desires = append(desires, j.desired)
-		weights = append(weights, j.importance)
-	}
-	c.squishable, c.desireBuf, c.weightBuf = squishable, desires, weights
-	// Jobs removed since the scratch's high-water mark must not stay
-	// reachable through the backing array's tail.
-	tail := squishable[len(squishable):cap(squishable)]
-	for i := range tail {
-		tail[i] = nil
-	}
-
-	// Pass 2: squish into the capacity left by hard reservations. The
-	// capacity can go negative when missed deadlines shrink the effective
-	// threshold below what is already admitted; adaptive jobs then get
-	// nothing rather than panicking the squish.
-	capacity := c.effectiveThreshold - c.admitted
-	if capacity < 0 {
-		capacity = 0
-	}
-	c.squishApply(squishable, desires, weights, capacity, now)
-
-	if c.gov != nil {
-		c.governorStep(now)
-	}
-
-	if c.onStep != nil {
-		c.onStep(now)
-	}
-}
-
-// prologue is the per-epoch preamble shared by the global sweep and the
-// sharded plane: count the step, react to missed deadlines, reap exited
-// jobs, and flush delayed actuations.
+// prologue opens a control epoch on shard 0's tick: count the epoch,
+// react to missed deadlines, reap exited jobs, and flush delayed
+// actuations.
 func (c *Controller) prologue(now sim.Time) {
-	c.steps++
+	c.epoch++
 
 	// Missed deadlines shrink the effective threshold (spare capacity
 	// grows), recovering slowly when the dispatcher is healthy.
@@ -1049,8 +988,10 @@ func (c *Controller) prologue(now sim.Time) {
 // sampleJob runs pass 1 for one job: sample its progress, update the
 // watchdog, and recompute its desire. dt is the elapsed control time in
 // seconds and epochs the number of control intervals it spans — both 1
-// interval in the periodic sweep, possibly more when the event-driven
-// plane re-samples a job it had skipped. It reports whether the job
+// interval in periodic mode, possibly more when an event-driven shard
+// re-samples a job it had skipped; the estimators integrate over the
+// whole gap, so a skipped-then-resampled job converges to the allocation
+// the periodic sweep would have reached. It reports whether the job
 // participates in the squish (false for reservation-holding classes).
 func (c *Controller) sampleJob(j *Job, now sim.Time, dt float64, epochs int64) bool {
 	switch j.class {
@@ -1061,7 +1002,6 @@ func (c *Controller) sampleJob(j *Job, now sim.Time, dt float64, epochs int64) b
 		j.lastCPU = j.cpuTime()
 		return false
 	case RealRate:
-		c.samples++
 		p, ok := c.samplePressure(j, now)
 		j.lastRaw = p
 		if j.fill != nil {
@@ -1083,23 +1023,21 @@ func (c *Controller) sampleJob(j *Job, now sim.Time, dt float64, epochs int64) b
 			// freeze the filter rather than integrating garbage.
 		}
 	case Miscellaneous:
-		c.samples++
 		j.desired = c.estimateMisc(j, dt, epochs)
 	case Interactive:
-		c.samples++
 		j.desired = c.estimateInteractive(j)
 	}
 	return true
 }
 
-// squishApply is pass 2 over one set of squishable jobs: fit their desires
-// into capacity, clamp, raise quality exceptions, and actuate changes. The
-// global sweep passes every adaptive job; a shard passes only its own, with
-// its slice of the capacity.
+// squishApply is pass 2 over one shard's squishable jobs: fit their
+// desires into the shard's slice of the capacity, clamp, raise quality
+// exceptions, and actuate changes. A negative capacity grants nothing.
 func (c *Controller) squishApply(squishable []*Job, desires []int, weights []float64, capacity int, now sim.Time) {
 	if len(squishable) == 0 {
 		return
 	}
+	capacity = max(capacity, 0)
 	// The non-zero floor only fits while floor·n ≤ capacity; past that
 	// point (thousands of adaptive jobs on one CPU) the machine simply
 	// lacks the ppt resolution, so the floor degrades gracefully
@@ -1133,37 +1071,15 @@ func (c *Controller) squishApply(squishable []*Job, desires []int, weights []flo
 	}
 }
 
-// governorStep runs the supervisory outer loop once per control interval:
-// gather the saturation signals already flowing through this step —
-// demand vs. capacity, squish compression, missed period boundaries,
-// watchdog demotion rate, and (via the SLO probe) tail latency — feed
-// them to the governor, and execute its decision.
-func (c *Controller) governorStep(now sim.Time) {
-	desired, granted := 0, 0
-	for _, j := range c.jobs {
-		// A job's desire is clamped to the most it could ever be granted:
-		// a squished real-rate job's raw desire integrates toward
-		// DesireCap by design (that is how it wins the squish), so the
-		// un-clamped sum would read as brownout on any machine running
-		// one busy pipeline. Demand beyond MaxProportion is not
-		// actionable and must not trip the governor.
-		d := j.desired
-		if d > c.cfg.MaxProportion {
-			d = c.cfg.MaxProportion
-		}
-		desired += d
-		granted += j.allocated
-	}
-	c.governorObserve(now, desired, granted)
-}
-
-// governorObserve feeds one epoch's saturation signals to the governor and
-// executes its decision. desired and granted are the MaxProportion-clamped
-// demand and the granted proportion summed over every job — computed by a
-// full scan in the periodic sweep, or aggregated across shards by the
-// control plane. The miss and demotion deltas come from global counters,
-// banked once per epoch here, so the governor's per-interval rates are
-// identical under one shard or many.
+// governorObserve runs the supervisory outer loop once per control epoch:
+// feed the governor the saturation signals already flowing through the
+// epoch — demand vs. capacity, squish compression, missed period
+// boundaries, watchdog demotion rate, and (via the SLO probe) tail
+// latency — and execute its decision. desired and granted are the
+// MaxProportion-clamped demand and the granted proportion summed over
+// every job, aggregated across the shards. The miss and demotion deltas
+// come from global counters, banked once per epoch here, so the
+// governor's per-interval rates are identical under one shard or many.
 func (c *Controller) governorObserve(now sim.Time, desired, granted int) {
 	c.lastEpochAt = now
 	sig := overload.Signals{
@@ -1225,7 +1141,7 @@ func (c *Controller) shedOne(now sim.Time) bool {
 	if c.onShed != nil {
 		c.onShed(victim, now)
 	}
-	// Retire is re-entrancy-safe from inside the controller's step (the
+	// Retire is re-entrancy-safe from inside a control tick (the
 	// kernel's busy guard defers the reschedule), and the exit hook runs
 	// synchronously, so the public layer unindexes the thread before the
 	// next shed candidate is evaluated. Under the eager exit path
@@ -1251,7 +1167,7 @@ func (c *Controller) shedOne(now sim.Time) bool {
 // bursts and nap the rest of each period, so the instantaneous ratio
 // aliases; reclamation must look at the average over several intervals.
 // epochs is the number of control intervals since the job was last
-// sampled — always 1 in the periodic sweep; the event-driven plane passes
+// sampled — always 1 in periodic mode; an event-driven shard passes
 // the actual gap so the granted baseline covers the skipped intervals.
 func (c *Controller) observeUsage(j *Job, dt float64, epochs int64) float64 {
 	used := j.cpuTime() - j.lastCPU
@@ -1566,13 +1482,13 @@ func (c *Controller) reap() {
 			c.Remove(j)
 			continue
 		}
-		j.thread = j.members[0]
+		c.setPrimary(j)
 		i++
 	}
 }
 
 // grow returns buf resliced to n, reallocating only when capacity is
-// short — the scratch-buffer idiom behind the allocation-free step.
+// short — the scratch-buffer idiom behind the allocation-free control tick.
 func grow(buf []int, n int) []int {
 	if cap(buf) < n {
 		return make([]int, n)

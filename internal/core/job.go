@@ -155,6 +155,23 @@ type Job struct {
 	// stats
 	actuations uint64
 
+	// Control-loop bookkeeping (see plane.go). shard is the job's home
+	// shard, cached from its primary thread. lastEpoch is the epoch in
+	// which some shard last visited the job: a job re-homed mid-epoch onto
+	// a shard that has not ticked yet carries the mark that stops a second
+	// visit. sampleEpoch is the epoch of the last actual sample; epoch −
+	// sampleEpoch is the gap the estimators integrate over.
+	shard       int
+	lastEpoch   int64
+	sampleEpoch int64
+	// sampled reports whether the job has ever been sampled. dirty is the
+	// push half of event-driven sampling: a watched metric announced a
+	// change since the last sample. watched reports whether dirty marks
+	// see every signal edge of the job (every registered metric is
+	// watchable), refreshed at each event-mode sample. removed marks a job
+	// that left the controller; its shard drops it at the next visit.
+	sampled, dirty, watched, removed bool
+
 	// freeNext links the object into the controller's free list while
 	// pooled (recycle mode only).
 	freeNext *Job
@@ -216,10 +233,6 @@ func (j *Job) Pressure() float64 {
 	}
 	return j.g.Output()
 }
-
-// RawPressure returns the most recent raw summed pressure sample (before
-// the PID filter) — the signal the event-driven plane thresholds against.
-func (j *Job) RawPressure() float64 { return j.lastRaw }
 
 // Degraded returns the job's rung on the graceful-degradation ladder
 // (LevelRealRate when healthy).

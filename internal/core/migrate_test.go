@@ -1,9 +1,8 @@
-package ctlplane
+package core
 
 import (
 	"testing"
 
-	"repro/internal/core"
 	"repro/internal/kernel"
 	"repro/internal/sim"
 )
@@ -36,7 +35,7 @@ func (m *pulseMetric) Describe() string { return "pulse" }
 // idle CPU moves exactly the job under test.
 func TestMigrationHandoffExactlyOnce(t *testing.T) {
 	for _, cpus := range []int{2, 4, 8} {
-		r := newRig(cpus, Config{Shards: cpus})
+		r := newPlaneRig(cpus, Config{Shards: cpus})
 
 		// One pinned duty-cycle hog per CPU: busy enough to push the
 		// unpinned job off, idle enough to pull it back.
@@ -71,9 +70,9 @@ func TestMigrationHandoffExactlyOnce(t *testing.T) {
 		// Every actuation of the job, stamped with the epoch it happened
 		// in: two in one epoch would mean a double-sample slipped through.
 		perEpoch := make(map[int64]int)
-		r.ctl.OnActuate(func(j *core.Job, prop int, period sim.Duration, now sim.Time) {
+		r.ctl.OnActuate(func(j *Job, prop int, period sim.Duration, now sim.Time) {
 			if j == job {
-				perEpoch[r.plane.Epoch()]++
+				perEpoch[r.ctl.epoch]++
 			}
 		})
 
@@ -84,7 +83,7 @@ func TestMigrationHandoffExactlyOnce(t *testing.T) {
 			t.Fatalf("cpus=%d: wanderer never migrated; rig is not exercising handoff", cpus)
 		}
 		var handoffs uint64
-		for _, st := range r.plane.Stats() {
+		for _, st := range r.ctl.ShardStats() {
 			handoffs += st.Handoffs
 		}
 		if handoffs == 0 {
@@ -94,7 +93,7 @@ func TestMigrationHandoffExactlyOnce(t *testing.T) {
 		// Exactly one sample per epoch: the final epoch may still be open
 		// (the job's current owner shard not yet ticked), so one pending
 		// sample is allowed.
-		epochs := int(r.plane.Epoch())
+		epochs := int(r.ctl.epoch)
 		if pm.calls != epochs && pm.calls != epochs-1 {
 			t.Errorf("cpus=%d: %d samples over %d epochs (migrations %d, handoffs %d); want exactly one per epoch",
 				cpus, pm.calls, epochs, wanderer.Migrations(), handoffs)

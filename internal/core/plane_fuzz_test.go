@@ -1,4 +1,4 @@
-package ctlplane
+package core
 
 import (
 	"testing"
@@ -6,7 +6,7 @@ import (
 	"repro/internal/sim"
 )
 
-// FuzzEventDrivenThresholds drives the event-driven plane under arbitrary
+// FuzzEventDrivenThresholds drives event-driven shards under arbitrary
 // threshold/staleness/shard configurations and checks the liveness
 // contract: whatever the knobs say, no job that has ever been sampled
 // goes more than the (normalized) staleness bound without a fresh sample.
@@ -28,8 +28,8 @@ func FuzzEventDrivenThresholds(f *testing.F) {
 		if stalenessMs > 1000 {
 			stalenessMs = 1000
 		}
-		r := newRig(1, Config{
-			Mode:         EventDriven,
+		r := newPlaneRig(1, Config{
+			EventDriven:  true,
 			Shards:       int(shards),
 			Threshold:    threshold,
 			MaxStaleness: sim.Duration(stalenessMs) * sim.Millisecond,
@@ -38,22 +38,14 @@ func FuzzEventDrivenThresholds(f *testing.F) {
 		r.addPipeline("p0", 128)
 		r.start()
 
-		bound := r.plane.StalenessEpochs()
 		r.ctl.OnStep(func(now sim.Time) {
-			for _, sh := range r.plane.shards {
-				for _, e := range sh.list {
-					if !e.sampled || e.removed {
-						continue
-					}
-					if gap := r.plane.epoch - e.sampleEpoch; gap > bound {
-						t.Fatalf("threshold=%v staleness=%dms shards=%d: job %q un-sampled for %d epochs, bound %d",
-							threshold, stalenessMs, shards, e.job.Thread().Name(), gap, bound)
-					}
-				}
+			if name, gap := r.staleJob(); name != "" {
+				t.Fatalf("threshold=%v staleness=%dms shards=%d: job %q un-sampled for %d epochs, bound %d",
+					threshold, stalenessMs, shards, name, gap, r.ctl.stalenessEpochs)
 			}
 		})
 		r.eng.RunFor(sim.Second)
-		if r.plane.Epoch() == 0 {
+		if r.ctl.epoch == 0 {
 			t.Fatal("no epochs ran")
 		}
 	})

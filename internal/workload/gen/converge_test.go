@@ -55,9 +55,9 @@ func withinEnvelope(a, b EndState) bool {
 
 // TestConvergenceDifferentialOracle is the correctness argument for the
 // sharded, staggered, event-driven control plane, run as a differential
-// test: for steadied workloads from every generator family, the classic
-// periodic sweep, the 4-shard periodic plane, and the 4-shard
-// event-driven plane must all converge to the same per-thread allocation
+// test: for steadied workloads from every generator family, the single
+// periodic shard (the paper's sweep), 4 periodic shards, and 4
+// event-driven shards must all converge to the same per-thread allocation
 // fixpoint (within the envelope) and to near-identical totals.
 func TestConvergenceDifferentialOracle(t *testing.T) {
 	configs := []struct {
@@ -65,7 +65,7 @@ func TestConvergenceDifferentialOracle(t *testing.T) {
 		controller string
 		shards     int
 	}{
-		{"legacy", "periodic", 1},
+		{"sweep", "periodic", 1},
 		{"sharded", "periodic", 4},
 		{"event", "event", 4},
 	}
@@ -87,11 +87,11 @@ func TestConvergenceDifferentialOracle(t *testing.T) {
 					}
 					results[c.name] = res
 				}
-				base := results["legacy"]
+				base := results["sweep"]
 				for _, c := range configs[1:] {
 					got := results[c.name]
 					if len(got.Allocations) != len(base.Allocations) {
-						t.Fatalf("%s: %d surviving threads, legacy has %d",
+						t.Fatalf("%s: %d surviving threads, sweep has %d",
 							c.name, len(got.Allocations), len(base.Allocations))
 					}
 					var baseTotal, gotTotal int
@@ -103,14 +103,14 @@ func TestConvergenceDifferentialOracle(t *testing.T) {
 						baseTotal += want.Smoothed
 						gotTotal += have.Smoothed
 						if !withinEnvelope(want, have) {
-							t.Errorf("%s: %s thread %q converged to %d ppt, legacy to %d (outside envelope)",
+							t.Errorf("%s: %s thread %q converged to %d ppt, sweep to %d (outside envelope)",
 								c.name, want.Class, name, have.Smoothed, want.Smoothed)
 						}
 					}
 					// Totals must agree tightly even where individual jobs
 					// sit at different points of an equal-desire tie.
 					if d := baseTotal - gotTotal; d < -baseTotal/10-20 || d > baseTotal/10+20 {
-						t.Errorf("%s: total allocation %d ppt, legacy %d", c.name, gotTotal, baseTotal)
+						t.Errorf("%s: total allocation %d ppt, sweep %d", c.name, gotTotal, baseTotal)
 					}
 				}
 			})

@@ -373,9 +373,8 @@ type RunResult struct {
 	// every tracked thread still alive. The convergence differential
 	// oracle compares these across control-plane configurations.
 	Allocations map[string]EndState
-	// CtlStats is the control plane's per-shard counter snapshot (one
-	// synthesized shard under the classic controller, nil under
-	// baselines).
+	// CtlStats is the control loop's per-shard counter snapshot (nil
+	// under baselines).
 	CtlStats []realrate.ShardStat
 	// SLO is the system's latency-SLO accounting snapshot (zero unless a
 	// governor was armed — the overload and slo families).

@@ -63,9 +63,8 @@ type Report struct {
 	Violations []Violation
 	// TruncatedViolations counts breaches beyond the recording cap.
 	TruncatedViolations int
-	// CtlStats is the control plane's per-shard counter snapshot at run
-	// end (one synthesized shard under the classic controller, nil under
-	// baselines).
+	// CtlStats is the control loop's per-shard counter snapshot at run
+	// end (nil under baselines).
 	CtlStats []realrate.ShardStat
 }
 

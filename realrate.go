@@ -41,7 +41,6 @@ import (
 	"time"
 
 	"repro/internal/core"
-	"repro/internal/ctlplane"
 	"repro/internal/faults"
 	"repro/internal/kernel"
 	"repro/internal/overload"
@@ -104,10 +103,9 @@ type Config struct {
 	// default — costs nothing: the hot paths pay one nil check and the
 	// dispatch schedule is byte-identical to a build without the governor.
 	Overload *OverloadConfig
-	// CtlPlane configures the sharded, staggered, event-driven control
-	// plane for machines with very many jobs. The zero value — one shard,
-	// periodic — keeps the classic controller thread and its
-	// byte-identical dispatch schedule.
+	// CtlPlane configures the controller's control loop: shard count and
+	// sampling mode. The zero value is one periodic shard, the paper's
+	// controller thread, with its byte-identical dispatch schedule.
 	CtlPlane CtlPlaneConfig
 }
 
@@ -146,9 +144,6 @@ type System struct {
 	reg *progress.Registry
 	// ctl is nil under baseline policies: no feedback allocator runs.
 	ctl *core.Controller
-	// plane is the sharded control plane when Config.CtlPlane asks for
-	// one; nil keeps the classic controller thread.
-	plane *ctlplane.Plane
 
 	// byKern maps kernel threads back to their public handles, so quality
 	// events and observer callbacks stay O(1) at 10k threads. Entries are
@@ -270,6 +265,10 @@ func NewSystem(cfg Config) *System {
 	}
 	ccfg.WatchdogIntervals = t.WatchdogIntervals
 	ccfg.WatchdogRecovery = t.WatchdogRecovery
+	ccfg.EventDriven = cfg.CtlPlane.Mode == ControllerEventDriven
+	ccfg.Shards = cfg.CtlPlane.Shards
+	ccfg.Threshold = cfg.CtlPlane.Threshold
+	ccfg.MaxStaleness = sim.FromStd(cfg.CtlPlane.MaxStaleness)
 
 	s := &System{
 		eng:    eng,
@@ -318,12 +317,6 @@ func NewSystem(cfg Config) *System {
 			}
 		}
 	}
-	if s.ctl != nil && !cfg.CtlPlane.legacy() {
-		// Built last so the plane sees the fully-wired controller; it
-		// claims the controller's job-change hooks and — in event mode —
-		// the registry's dirty hook.
-		s.plane = buildPlane(s, cfg.CtlPlane)
-	}
 	// Recycle the spawn→exit lifecycle through free lists: kernel thread
 	// slots, scheduler per-thread state and controller jobs are reissued
 	// to later spawns instead of left to the collector. Recycling moves no
@@ -347,9 +340,7 @@ func (s *System) PolicyName() string { return s.policy.Name() }
 func (s *System) Run(d time.Duration) {
 	if !s.started {
 		s.started = true
-		if s.plane != nil {
-			s.plane.Start()
-		} else if s.ctl != nil {
+		if s.ctl != nil {
 			s.ctl.Start()
 		}
 		s.kern.Start()
@@ -554,20 +545,13 @@ func (s *System) CPUStats() []CPUStat {
 	return out
 }
 
-// ControllerCPU returns the CPU time consumed by the controller thread —
-// the overhead Figure 5 measures. Zero under baseline policies.
+// ControllerCPU returns the CPU time consumed by the controller's shard
+// threads — the overhead Figure 5 measures. Zero under baseline policies.
 func (s *System) ControllerCPU() time.Duration {
 	if s.ctl == nil {
 		return 0
 	}
-	if s.plane != nil {
-		return time.Duration(s.plane.CPUTime())
-	}
-	t := s.ctl.Thread()
-	if t == nil {
-		return 0
-	}
-	return time.Duration(t.CPUTime())
+	return time.Duration(s.ctl.CPUTime())
 }
 
 // TotalProportion returns the summed proportions of all registered threads

@@ -18,10 +18,8 @@ go test -run '^$' -bench 'BenchmarkEngineScheduleAndFire|BenchmarkEngineChainedT
 go test -run '^$' -bench 'BenchmarkSimulatedSecondOneHog|BenchmarkSimulatedSecondPipeline|BenchmarkContextSwitchStorm|BenchmarkTimerHeavySleepers' \
     -benchmem ./internal/kernel/ >>"$tmp" 2>&1
 
-# Scheduler-core scaling benches: dispatch cost versus thread count and
-# the allocation-free controller tick.
+# Scheduler-core scaling bench: dispatch cost versus thread count.
 go test -run '^$' -bench 'BenchmarkStormDispatch' -benchtime 30x -benchmem . >>"$tmp" 2>&1
-go test -run '^$' -bench 'BenchmarkControllerStep' -benchtime 200x -benchmem ./internal/core/ >>"$tmp" 2>&1
 
 # Workload-breadth bench: admission-churn throughput (Spawn/Kill/
 # Renegotiate near capacity with the invariant checker live).
@@ -37,12 +35,13 @@ go test -run '^$' -bench 'BenchmarkStormSMP' -benchtime 3x -benchmem . >>"$tmp" 
 # SLO-tap/governor instrumentation cost.
 go test -run '^$' -bench 'BenchmarkOverloadGovernor' -benchtime 10x -benchmem . >>"$tmp" 2>&1
 
-# Sharded control-plane benches (pr8-ctlplane): one full control epoch at
-# 10k and 100k jobs, periodic vs event mode — the event plane's per-job
+# Control-loop benches: one full, allocation-free control epoch at 100,
+# 10k and 100k jobs under the paper's sweep (one periodic shard), 8
+# periodic shards and 8 event-driven shards — the event mode's per-job
 # cost must stay sublinear-ish (n=100k < 2× the n=10k per-job cost). The
 # 1M-job soak logs admission and per-epoch wall time into the test output.
-go test -run '^$' -bench 'BenchmarkControllerStep' -benchtime 20x -benchmem ./internal/ctlplane/ >>"$tmp" 2>&1
-go test -run 'TestSoak1MAdmission' -v ./internal/ctlplane/ >>"$tmp" 2>&1
+go test -run '^$' -bench 'BenchmarkControllerStep' -benchtime 20x -benchmem ./internal/core/ >>"$tmp" 2>&1
+go test -run 'TestSoak1MAdmission' -v ./internal/core/ >>"$tmp" 2>&1
 
 # Live-service SLO bench (pr9-slo-family): a simulated second of the slo
 # scenario family — open-loop session arrivals through three-stage

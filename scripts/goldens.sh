@@ -1,7 +1,9 @@
 #!/usr/bin/env bash
-# Regenerates the Figure 5-8 outputs and byte-compares them against the
-# committed goldens in testdata/goldens/. Any drift in the dispatch
-# schedule or controller arithmetic fails the build.
+# Regenerates the Figure 5-8 outputs and two generated-workload sweeps
+# (the default controller, and the 4-shard event-driven plane, across every
+# scenario family on 1 and several CPUs with churn) and byte-compares them
+# against the committed goldens in testdata/goldens/. Any drift in the
+# dispatch schedule or controller arithmetic fails the build.
 #
 # To re-bless after an intentional change: scripts/goldens.sh -update
 set -euo pipefail
@@ -25,18 +27,28 @@ else
   status=1
 fi
 
-for fig in 5 6 7 8; do
-  "$tmp/rrexp" -fig "$fig" > "$tmp/fig$fig.out"
-  golden="testdata/goldens/fig$fig.golden"
+# check NAME ARGS... runs rrexp with ARGS and compares its output against
+# testdata/goldens/NAME.golden.
+check() {
+  local name=$1
+  shift
+  "$tmp/rrexp" "$@" > "$tmp/$name.out"
+  local golden="testdata/goldens/$name.golden"
   if [ "$update" = 1 ]; then
-    cp "$tmp/fig$fig.out" "$golden"
-    echo "fig$fig: updated"
-  elif cmp -s "$golden" "$tmp/fig$fig.out"; then
-    echo "fig$fig: byte-identical"
+    cp "$tmp/$name.out" "$golden"
+    echo "$name: updated"
+  elif cmp -s "$golden" "$tmp/$name.out"; then
+    echo "$name: byte-identical"
   else
-    echo "fig$fig: output diverged from $golden:" >&2
-    diff "$golden" "$tmp/fig$fig.out" >&2 || true
+    echo "$name: output diverged from $golden:" >&2
+    diff "$golden" "$tmp/$name.out" >&2 || true
     status=1
   fi
+}
+
+for fig in 5 6 7 8; do
+  check "fig$fig" -fig "$fig"
 done
+check gen_default -gen -seeds 4
+check gen_event4 -gen -seeds 4 -controller event -shards 4
 exit $status
