@@ -53,8 +53,10 @@ fuzz:
 # oracles: typed refusals, importance-ordered sheds, recovery to normal)
 # on 1 and 4 CPUs, and finally a slice of the slo live-service family
 # alone (open-loop session pipelines against the session-conservation,
-# stage-ordering, and SLO-closure oracles) on 1 CPU and on 4 CPUs under
-# the sharded event-driven control plane — the scale runs' configuration.
+# stage-ordering, and SLO-closure oracles) on 1 CPU, on 4 CPUs under the
+# sharded event-driven control plane, and on 8 CPUs under the event-driven
+# plane — the benchmark's slo machines. The checked runs drive the same
+# pooled session runner the benchmark times.
 STRESS_SEEDS ?= 25
 STRESS_SMP_SEEDS ?= 8
 STRESS_FAULT_SEEDS ?= 15
@@ -69,6 +71,7 @@ stress:
 	$(GO) run ./cmd/rrexp -gen -scenario overload -cpus 4 -seeds $(STRESS_OVERLOAD_SEEDS)
 	$(GO) run ./cmd/rrexp -gen -scenario slo -seeds $(STRESS_SLO_SEEDS)
 	$(GO) run ./cmd/rrexp -gen -scenario slo -cpus 4 -controller event -shards 2 -seeds $(STRESS_SLO_SEEDS)
+	$(GO) run ./cmd/rrexp -gen -scenario slo -cpus 8 -controller event -seeds $(STRESS_SLO_SEEDS)
 
 # goldens byte-compares the Figure 5-8 outputs against the committed
 # goldens in testdata/goldens/ (re-bless with scripts/goldens.sh -update).

@@ -279,7 +279,7 @@ func runGenerated(scenario string, seed uint64, seeds int, policy string, scale 
 	}
 
 	if traceCSV != "" {
-		return runTraceReplay(traceCSV, policies, dur, cpus)
+		return runTraceReplay(traceCSV, policies, dur, cpus, controller, shards)
 	}
 
 	lo, hi := uint64(1), uint64(seeds)
@@ -346,8 +346,8 @@ func ctlSummary(controller string, shards int, stats []realrate.ShardStat) strin
 }
 
 // runTraceReplay replays a recorded arrival trace CSV through the
-// invariant harness under the requested policies.
-func runTraceReplay(path string, policies []string, dur time.Duration, cpus int) int {
+// invariant harness under the requested policies and control plane.
+func runTraceReplay(path string, policies []string, dur time.Duration, cpus int, controller string, shards int) int {
 	f, err := os.Open(path)
 	if err != nil {
 		fmt.Fprintln(os.Stderr, err)
@@ -380,14 +380,15 @@ func runTraceReplay(path string, policies []string, dur time.Duration, cpus int)
 	}
 	failed := 0
 	for _, pol := range policies {
-		res, err := gen.Generate(sp).Run(gen.RunOpts{Policy: pol})
+		res, err := gen.Generate(sp).Run(gen.RunOpts{Policy: pol, Controller: controller, Shards: shards})
 		if err != nil {
 			fmt.Fprintln(os.Stderr, err)
 			return 2
 		}
 		r := res.Report
-		fmt.Printf("trace %-12s arrivals %-4d threads %-4d exits %-4d violations %d\n",
-			pol, len(trace), r.Threads, r.Exits, len(r.Violations)+r.TruncatedViolations)
+		fmt.Printf("trace %-12s arrivals %-4d threads %-4d exits %-4d violations %d%s\n",
+			pol, len(trace), r.Threads, r.Exits, len(r.Violations)+r.TruncatedViolations,
+			ctlSummary(controller, shards, r.CtlStats))
 		for _, v := range r.Violations {
 			failed++
 			fmt.Printf("FAIL %s\n", v)

@@ -70,7 +70,7 @@ func TestExitUnregistersProgressUnderBaseline(t *testing.T) {
 		t.Fatalf("thread did not exit: %v", th.State())
 	}
 	if sys.reg.HasMetrics(th.t) {
-		t.Fatal("exited thread leaked its progress registration (no controller to reap it)")
+		t.Fatal("exited thread leaked its progress registration (no controller to tear it down)")
 	}
 	if _, ok := sys.byKern[th.t]; ok {
 		t.Fatal("exited thread leaked its byKern entry")

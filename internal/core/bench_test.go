@@ -84,6 +84,7 @@ func TestControllerStepNegativeCapacity(t *testing.T) {
 	kern := kernel.New(eng, kernel.DefaultConfig(), policy)
 	reg := progress.NewRegistry()
 	ctl := New(kern, policy, reg, Config{})
+	kern.SetExitHook(ctl.ThreadExited)
 	op := kernel.OpSleep{D: 50 * sim.Millisecond}
 	prog := kernel.ProgramFunc(func(th *kernel.Thread, now sim.Time) kernel.Op { return &op })
 	rt := kern.Spawn("rt", prog)

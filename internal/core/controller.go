@@ -743,8 +743,8 @@ func (c *Controller) SetImportance(j *Job, w float64) {
 }
 
 // Remove stops controlling a job, freeing its admission if it held one.
-// Removing a job that is no longer controlled (e.g. already reaped after
-// its last member exited) is a no-op, so the incremental admission
+// Removing a job that is no longer controlled (e.g. already torn down
+// after its last member exited) is a no-op, so the incremental admission
 // accounting cannot be corrupted by a double Remove.
 func (c *Controller) Remove(j *Job) {
 	found := false
@@ -776,15 +776,16 @@ func (c *Controller) Remove(j *Job) {
 	c.shards[j.shard].live--
 }
 
-// ThreadExited tears down one exited member thread's controller state
-// immediately: the thread leaves its job (and the job leaves the
-// controller when it was the last member), instead of lingering until the
-// next epoch's reap. The recycling layers need the eager path — a pooled
-// kernel thread can be reissued before the next epoch, and every stale
-// *kernel.Thread reference must be gone by then — but it is correct (and
-// idempotent with reap) for any caller's exit hook. Unknown threads are
-// ignored.
-func (c *Controller) ThreadExited(t *kernel.Thread) {
+// ThreadExited is the kernel exit hook's controller half, and the only
+// way a job loses members: the exited thread leaves its job at once, and
+// the job leaves the controller (freeing any admitted reservation) when
+// it was the last member. Whoever builds a kernel under a controller
+// installs it — kern.SetExitHook(ctl.ThreadExited), or a hook of its own
+// that calls it. Tearing down at exit, not at the next epoch, is also
+// what the recycling layers need: a pooled kernel thread can be reissued
+// before the next epoch, and every stale *kernel.Thread reference must be
+// gone by then. Unknown threads are ignored.
+func (c *Controller) ThreadExited(t *kernel.Thread, now sim.Time) {
 	j, ok := c.byThr[t]
 	if !ok {
 		return
@@ -944,8 +945,7 @@ func (c *Controller) maxMemberShare(j *Job, proportion int) int {
 }
 
 // prologue opens a control epoch on shard 0's tick: count the epoch,
-// react to missed deadlines, reap exited jobs, and flush delayed
-// actuations.
+// react to missed deadlines, and flush delayed actuations.
 func (c *Controller) prologue(now sim.Time) {
 	c.epoch++
 
@@ -961,8 +961,6 @@ func (c *Controller) prologue(now sim.Time) {
 		c.effectiveThreshold++
 	}
 
-	c.reap()
-
 	if len(c.delayed) > 0 {
 		// Apply actuations deferred by DelayActuation faults. The pending
 		// list is detached first: installing a reservation can run the
@@ -972,7 +970,7 @@ func (c *Controller) prologue(now sim.Time) {
 		c.delayed = nil
 		for _, d := range pend {
 			if c.byThr[d.job.thread] != d.job {
-				continue // job reaped while the actuation was in flight
+				continue // job torn down while the actuation was in flight
 			}
 			c.apply(d.job, d.prop, d.period)
 		}
@@ -1144,12 +1142,11 @@ func (c *Controller) shedOne(now sim.Time) bool {
 	// Retire is re-entrancy-safe from inside a control tick (the
 	// kernel's busy guard defers the reschedule), and the exit hook runs
 	// synchronously, so the public layer unindexes the thread before the
-	// next shed candidate is evaluated. Under the eager exit path
-	// (ThreadExited) each Retire also removes the member from
-	// victim.members while we iterate, so walk the slice from the tail
-	// with a bounds re-check instead of ranging over a stale header;
-	// without the eager path the job is reaped — and its admission
-	// headroom freed — on the next interval's reap.
+	// next shed candidate is evaluated. Each Retire also removes the
+	// member from victim.members through ThreadExited while we iterate,
+	// and the last one removes the job and frees its admission headroom,
+	// so walk the slice from the tail with a bounds re-check instead of
+	// ranging over a stale header.
 	for i := len(victim.members) - 1; i >= 0; i-- {
 		if i >= len(victim.members) {
 			continue
@@ -1460,30 +1457,6 @@ func (c *Controller) promote(j *Job, now sim.Time) {
 	if c.onRecover != nil {
 		c.onRecover(Degradation{Time: now, Job: j, From: from, To: j.degraded,
 			Reason: "progress signal recovered"})
-	}
-}
-
-// reap drops exited member threads and removes jobs with no live members.
-func (c *Controller) reap() {
-	for i := 0; i < len(c.jobs); {
-		j := c.jobs[i]
-		live := j.members[:0]
-		for _, t := range j.members {
-			if t.State() == kernel.StateExited {
-				delete(c.byThr, t)
-				c.policy.Unregister(t)
-				c.reg.Unregister(t)
-				continue
-			}
-			live = append(live, t)
-		}
-		j.members = live
-		if len(j.members) == 0 {
-			c.Remove(j)
-			continue
-		}
-		c.setPrimary(j)
-		i++
 	}
 }
 

@@ -27,6 +27,7 @@ func newRig(cfg core.Config) *rig {
 	kern := kernel.New(eng, kernel.DefaultConfig(), policy)
 	reg := progress.NewRegistry()
 	ctl := core.New(kern, policy, reg, cfg)
+	kern.SetExitHook(ctl.ThreadExited)
 	return &rig{eng: eng, kern: kern, policy: policy, reg: reg, ctl: ctl}
 }
 
@@ -415,6 +416,7 @@ func TestSMPCapacityGeneralization(t *testing.T) {
 	k := kernel.New(eng, cfg, p)
 	reg := progress.NewRegistry()
 	c := core.New(k, p, reg, core.Config{})
+	k.SetExitHook(c.ThreadExited)
 	c.Start()
 
 	// Per-thread cap: even with ~3550 ppt available on 4 CPUs, one thread

@@ -253,7 +253,7 @@ func (c *Controller) shouldSample(j *Job, now sim.Time) bool {
 // tick runs one shard's slice of a control epoch.
 //
 // Shard 0's tick opens the epoch (prologue: epoch count, miss reaction,
-// reap, delayed actuations); the last shard's tick closes it (governor
+// delayed actuations); the last shard's tick closes it (governor
 // observation over the summed aggregates, OnStep). In between, each
 // shard visits its list exactly once: drop removed jobs, re-home
 // migrated ones (collected during the walk, applied after — the lastEpoch

@@ -31,7 +31,9 @@ func newPlaneRig(cpus int, cfg Config) *planeRig {
 	kcfg.CPUs = cpus
 	kern := kernel.New(eng, kcfg, policy)
 	reg := progress.NewRegistry()
-	return &planeRig{eng: eng, kern: kern, policy: policy, reg: reg, ctl: New(kern, policy, reg, cfg)}
+	ctl := New(kern, policy, reg, cfg)
+	kern.SetExitHook(ctl.ThreadExited)
+	return &planeRig{eng: eng, kern: kern, policy: policy, reg: reg, ctl: ctl}
 }
 
 func (r *planeRig) start() {

@@ -42,6 +42,7 @@ func newRig(kmod func(*kernel.Config), cmod func(*core.Config)) *rig {
 	kern := kernel.New(eng, kcfg, policy)
 	reg := progress.NewRegistry()
 	ctl := core.New(kern, policy, reg, ccfg)
+	kern.SetExitHook(ctl.ThreadExited)
 	return &rig{eng: eng, kern: kern, policy: policy, reg: reg, ctl: ctl}
 }
 

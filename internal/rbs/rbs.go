@@ -219,8 +219,9 @@ func (p *Policy) AddThread(t *kernel.Thread, now sim.Time) {
 }
 
 // RemoveThread implements kernel.Policy. The thread leaves the proportion
-// total here rather than at the controller's next reap, matching the old
-// full-scan TotalProportion which skipped exited threads on every call.
+// total here rather than in the controller's exit-hook teardown, matching
+// the old full-scan TotalProportion which skipped exited threads on every
+// call.
 // In recycle mode the state object is pooled here: the kernel guarantees
 // the thread is already out of every dispatch structure (Dequeue runs
 // first on the exit path), so nothing in the shard still references it.

@@ -6,6 +6,7 @@ import (
 	"testing"
 	"time"
 
+	"repro/internal/experiments"
 	"repro/internal/workload/gen"
 )
 
@@ -198,5 +199,78 @@ func TestSessionMaxLiveCap(t *testing.T) {
 		if s.Started != s.Refused+s.Completed+s.Dead+s.Live {
 			t.Errorf("%s: session conservation broken: %+v", policy, s)
 		}
+	}
+}
+
+// TestSLOCheckerOnOffSameLedger pins that the invariant checker only
+// observes: the slo family's session runner is the same with the checker
+// on or off, so a checked run and an unchecked one (the configuration the
+// benchmark times) must produce the same session ledger, SLO report,
+// control-loop counters, and health snapshot. The last case is the
+// benchmark's slo-knee machine, run under the oracles.
+func TestSLOCheckerOnOffSameLedger(t *testing.T) {
+	setups := []struct {
+		name       string
+		cpus       int
+		controller string
+		shards     int
+	}{
+		{"cpus=1/periodic", 1, "periodic", 1},
+		{"cpus=4/event/shards=2", 4, "event", 2},
+		{"cpus=8/event", 8, "event", 1},
+	}
+	run := func(sp gen.Spec, controller string, shards int, noInvariants bool) *gen.RunResult {
+		t.Helper()
+		res, err := gen.Generate(sp).Run(gen.RunOpts{
+			Policy: "rbs", Controller: controller, Shards: shards, NoInvariants: noInvariants,
+		})
+		if err != nil {
+			t.Fatal(err)
+		}
+		return res
+	}
+	for _, su := range setups {
+		for seed := uint64(1); seed <= 6; seed++ {
+			sp, err := gen.ForSeed("slo", seed)
+			if err != nil {
+				t.Fatal(err)
+			}
+			sp.CPUs = su.cpus
+			on := run(sp, su.controller, su.shards, false)
+			off := run(sp, su.controller, su.shards, true)
+			if on.Report.Sessions != off.Report.Sessions {
+				t.Errorf("%s seed %d: sessions differ:\n  checked   %+v\n  unchecked %+v",
+					su.name, seed, on.Report.Sessions, off.Report.Sessions)
+			}
+			if !reflect.DeepEqual(on.SLO, off.SLO) {
+				t.Errorf("%s seed %d: SLO reports differ:\n  checked   %+v\n  unchecked %+v",
+					su.name, seed, on.SLO, off.SLO)
+			}
+			if !reflect.DeepEqual(on.CtlStats, off.CtlStats) {
+				t.Errorf("%s seed %d: control-loop counters differ:\n  checked   %+v\n  unchecked %+v",
+					su.name, seed, on.CtlStats, off.CtlStats)
+			}
+			if on.Health != off.Health {
+				t.Errorf("%s seed %d: health differs:\n  checked   %+v\n  unchecked %+v",
+					su.name, seed, on.Health, off.Health)
+			}
+		}
+	}
+
+	knee := experiments.SLOSpec(1001, 4000, 1.0, 2*time.Second, 8)
+	on := run(knee, "event", 0, false)
+	off := run(knee, "event", 0, true)
+	for _, v := range on.Report.Violations {
+		t.Errorf("slo-knee: %s", v)
+	}
+	if n := on.Report.TruncatedViolations; n > 0 {
+		t.Errorf("slo-knee: %d more violations past the recording cap", n)
+	}
+	if on.Report.Sessions.Completed == 0 {
+		t.Error("slo-knee: no sessions completed")
+	}
+	if on.Report.Sessions != off.Report.Sessions {
+		t.Errorf("slo-knee: sessions differ:\n  checked   %+v\n  unchecked %+v",
+			on.Report.Sessions, off.Report.Sessions)
 	}
 }

@@ -140,7 +140,7 @@ func TestObserverOrderingUnderChurn(t *testing.T) {
 
 // TestKillRetiresImmediately pins the public Kill semantics: the thread
 // stops consuming CPU at once, observers see its OnExit, and its
-// reservation is admittable again after the next control interval.
+// reservation is admittable again.
 func TestKillRetiresImmediately(t *testing.T) {
 	sys := realrate.NewSystem(realrate.Config{})
 	obs := &orderingObserver{}
@@ -172,8 +172,28 @@ func TestKillRetiresImmediately(t *testing.T) {
 	if exits != 1 {
 		t.Fatalf("observers saw %d exits for the killed thread, want 1", exits)
 	}
-	// The freed 600 ppt is admittable again once the controller reaps.
+	// The freed 600 ppt is admittable again.
 	if _, err := sys.Spawn("next", realrate.HogProgram(400_000), realrate.Reserve(600, 10*time.Millisecond)); err != nil {
 		t.Fatalf("reservation not freed after Kill: %v", err)
+	}
+}
+
+// TestKillFreesAdmissionAtOnce pins that Kill's teardown is synchronous:
+// the exit hook removes the job and frees its reservation inside Kill, so
+// a Spawn made right after it is admitted with no control interval, and
+// no Run at all, in between.
+func TestKillFreesAdmissionAtOnce(t *testing.T) {
+	sys := realrate.NewSystem(realrate.Config{})
+	rt, err := sys.Spawn("rt", realrate.HogProgram(400_000), realrate.Reserve(600, 10*time.Millisecond))
+	if err != nil {
+		t.Fatal(err)
+	}
+	sys.Run(100 * time.Millisecond)
+	if _, err := sys.Spawn("early", realrate.HogProgram(400_000), realrate.Reserve(600, 10*time.Millisecond)); err == nil {
+		t.Fatal("a second 600 ppt reservation was admitted while the first was held")
+	}
+	rt.Kill()
+	if _, err := sys.Spawn("next", realrate.HogProgram(400_000), realrate.Reserve(600, 10*time.Millisecond)); err != nil {
+		t.Fatalf("reservation not freed by Kill itself: %v", err)
 	}
 }

@@ -110,10 +110,11 @@ func (th *Thread) retire(t *kernel.Thread) {
 	th.adapter.prog = nil // release the program for the collector
 }
 
-// threadExited is the kernel exit hook: it freezes the handle, reaps the
-// controller job eagerly (a pooled slot can be reissued before the next
-// control epoch, by which time every stale reference must be gone), and
-// tells observers the thread is over. Threads removed by removeThread
+// threadExited is the kernel exit hook: it freezes the handle, tears the
+// thread out of its controller job (the controller's only teardown path;
+// a pooled slot can be reissued before the next control epoch, by which
+// time every stale reference must be gone), and tells observers the
+// thread is over. Threads removed by removeThread
 // (rejected spawns) were unindexed before retirement, so they never ran
 // and never surface an OnExit.
 func (s *System) threadExited(t *kernel.Thread, now sim.Time) {
@@ -121,19 +122,17 @@ func (s *System) threadExited(t *kernel.Thread, now sim.Time) {
 	if ok {
 		delete(s.byKern, t)
 		th.sloPending = false // drop any open wake edge with the handle
-		// Freeze before the controller reap below: the reap may scrub and
+		// Freeze before the controller teardown below: it may scrub and
 		// pool the job object the frozen values are read from.
 		th.retire(t)
 	}
-	// Unlink progress sources here, not only in the controller's reap:
-	// under a baseline policy no controller runs, so without this an
-	// exited paced/real-rate thread would leak its registration forever.
+	// Unlink progress sources here, not only in the controller's
+	// teardown: under a baseline policy no controller runs, so without
+	// this an exited paced/real-rate thread would leak its registration
+	// forever.
 	s.reg.Unregister(t)
-	// Eager in both modes: reap timing is behavior (it changes the job
-	// population the next control epoch prices), so it must not depend on
-	// whether pooling is enabled — only object recycling is gated.
 	if s.ctl != nil {
-		s.ctl.ThreadExited(t)
+		s.ctl.ThreadExited(t, now)
 	}
 	if !ok {
 		return
@@ -157,9 +156,10 @@ func (s *System) removeThread(th *Thread) {
 // Kill retires the thread immediately, as if its program had returned
 // Exit(): it is removed from the scheduler, any pending sleep wakeup is
 // canceled, and the partial run segment (if it was on the CPU) is charged.
-// The controller reaps its job — freeing any admitted reservation — at the
-// next control interval, exactly as for a natural exit. Killing an exited
-// thread is a no-op.
+// As for a natural exit, the kernel exit hook tears the thread out of its
+// controller job at once; when it was the job's last member, any admitted
+// reservation is free for the very next Spawn, with no control interval
+// in between. Killing an exited thread is a no-op.
 //
 // Kill is the remove half of admission churn (Spawn/Kill/Renegotiate
 // cycles). Call it from outside the simulation or from a timer callback
