@@ -11,16 +11,21 @@ import (
 
 // FuzzBoundaryWheel interprets fuzz bytes as an op script against a
 // Verify-mode dispatcher: every Pick replays the legacy linear scan and
-// panics on divergence, and asserts that every due period was rolled — so
-// a boundary entry filed in the wrong wheel level, cascaded late from L2,
-// or lost during a level hop fails the fuzz run. Period bytes are scaled
-// so all three levels (L1 buckets, the second 256-slot level, and the
-// overflow heap) are hit.
+// panics on divergence, asserts that every due period was rolled, and
+// audits the ready keys and wheel links from scratch — so a boundary entry
+// filed in the wrong wheel level, cascaded late from L2, or lost during a
+// level hop fails the fuzz run. Period bytes are scaled so all three
+// levels (L1 buckets, the second 256-slot level, and the overflow heap)
+// are hit. The first byte also picks the machine: the discipline, 1 or 4
+// CPUs (so work pulls steal from the keyed ready heap), and whether exited
+// threads' objects and scheduling state are recycled (so later spawns
+// reuse wheel node ids).
 //
 //	go test -run '^$' -fuzz=FuzzBoundaryWheel ./internal/rbs
 func FuzzBoundaryWheel(f *testing.F) {
 	f.Add([]byte{0x01, 0x80, 0x40, 0xFF, 0x03, 0x22})
 	f.Add([]byte{0xF0, 0x0F, 0xAA, 0x55, 0x00, 0x99, 0x7F, 0xC3})
+	f.Add([]byte{0x07, 0x06, 0x03, 0x0E, 0x00, 0x08, 0x50, 0x11, 0x30, 0x07, 0x40, 0x09, 0x9F})
 	f.Fuzz(func(t *testing.T, data []byte) {
 		if len(data) < 2 {
 			t.Skip()
@@ -31,30 +36,49 @@ func FuzzBoundaryWheel(f *testing.F) {
 			p.Discipline = rbs.EDF
 		}
 		p.Verify = true
-		k := kernel.New(eng, kernel.DefaultConfig(), p)
+		cfg := kernel.DefaultConfig()
+		if data[0]&2 != 0 {
+			cfg.CPUs = 4
+		}
+		k := kernel.New(eng, cfg, p)
+		if data[0]&4 != 0 {
+			k.SetRecycle(true)
+			p.SetRecycle(true)
+		}
 
 		var threads []*kernel.Thread
-		spawn := func() *kernel.Thread {
-			th := k.Spawn(fmt.Sprintf("t%d", len(threads)), hog(300_000))
-			threads = append(threads, th)
-			return th
+		spawned := 0
+		spawn := func(pin int) {
+			name := fmt.Sprintf("t%d", spawned)
+			spawned++
+			if pin >= 0 {
+				threads = append(threads, k.SpawnAffinity(name, hog(300_000), pin%cfg.NumCPUs()))
+			} else {
+				threads = append(threads, k.Spawn(name, hog(300_000)))
+			}
 		}
 		// A resident unmanaged thread keeps the machine busy so dispatch
-		// points (and wheel drains) keep firing.
-		spawn()
+		// points (and wheel drains) keep firing; it never exits.
+		spawn(-1)
 		k.Start()
 
 		// Each op consumes two bytes: an opcode/target byte and an
 		// argument byte.
-		for i := 0; i+1 < len(data); i += 2 {
+		for i := 1; i+1 < len(data); i += 2 {
 			op, arg := data[i], int64(data[i+1])
-			th := threads[int(op>>3)%len(threads)]
+			j := int(op>>3) % len(threads)
+			th := threads[j]
 			switch op & 7 {
-			case 0, 1: // short period: L1
+			case 0: // short period: L1
 				p.SetReservation(th, rbs.Reservation{
 					Proportion: int(arg % 200),
 					Period:     sim.Duration(1+arg%250) * sim.Millisecond,
 				})
+			case 1: // exit; the slot (and, recycling, the state) is reissued
+				if j > 0 {
+					k.Retire(th)
+					threads = append(threads[:j], threads[j+1:]...)
+				}
 			case 2, 3: // medium period: second wheel level
 				p.SetReservation(th, rbs.Reservation{
 					Proportion: int(arg % 200),
@@ -69,7 +93,11 @@ func FuzzBoundaryWheel(f *testing.F) {
 				p.Unregister(th)
 			case 6:
 				if len(threads) < 24 {
-					spawn()
+					pin := -1
+					if arg&1 == 1 {
+						pin = int(arg >> 1)
+					}
+					spawn(pin)
 				}
 			default: // advance time, crossing L1 wraps and L2 spans
 				eng.RunFor(sim.Duration(1+arg*arg) * sim.Millisecond)

@@ -1,7 +1,13 @@
-// Intrusive, index-tracked priority structures for the dispatcher's hot
-// path, one set per CPU (a shard). Each thread's positions are stored in
-// its scheduling state (heapIdx/boundIdx/exhIdx), so membership tests and
-// removals are O(1)+O(log n) with no allocation and no linear scans.
+// Cache-resident priority structures for the dispatcher's hot path, one
+// set per CPU (a shard). The ready heap stores each queued thread's packed
+// sort key beside a pointer to its scheduling state, so a sift compares
+// keys inside the heap array and loads a state only to break an exact key
+// tie. The period-boundary wheel threads its buckets through a dense node
+// array indexed by state id with uint32 links, so a bucket walk reads 16
+// bytes per entry and touches a state only when its period is due.
+// Positions (heapIdx/boundSlot/boundIdx/exhIdx) live in the scheduling
+// state, so membership tests and removals are O(1)+O(log n) with no
+// allocation and no linear scans.
 //
 // Ordering must reproduce the legacy linear scan bit-for-bit: the scan
 // picked the *first* best thread in runnable-slice order, and slice order
@@ -16,6 +22,21 @@ import (
 	"repro/internal/sim"
 )
 
+// readyEnt is one ready-heap entry: a queued thread's state and its
+// readyKey.
+type readyEnt struct {
+	k  uint64
+	st *state
+}
+
+// wheelNode is a state's boundary-wheel entry in the policy's dense node
+// array, indexed by state id: the period end it is filed under and its
+// bucket-list links (state ids; 0 is nil).
+type wheelNode struct {
+	key        sim.Time
+	next, prev uint32
+}
+
 // shard is one CPU's dispatch state: the ready heap, the two-level
 // period-boundary wheel with its overflow heap, and the exhausted list.
 // Threads live in the shard of their assigned CPU (kernel.Thread.CPU());
@@ -23,61 +44,72 @@ import (
 type shard struct {
 	// ready is the indexed heap of dispatchable queued threads: registered
 	// threads with budget and the unmanaged round-robin class below them.
-	ready []*kernel.Thread
+	ready []readyEnt
 	// buckets/buckets2/overflow/curSlot form the period-boundary wheel of
 	// queued registered threads by next period end; Pick drains the due
 	// entries instead of refreshing every runnable thread. Each bucket is
-	// the head of an intrusive doubly linked list. Level 1 spans one
-	// kernel tick per slot; level 2 spans bwSlots ticks per slot, so any
-	// boundary within bwSlots² ticks (≈65 s at a 1 ms tick) files in O(1);
-	// only boundaries beyond that fall back to the overflow min-heap.
-	buckets  [bwSlots]*kernel.Thread
-	buckets2 [bwSlots]*kernel.Thread
-	overflow []*kernel.Thread
+	// the head id of a doubly linked list through Policy.wn. Level 1 spans
+	// one kernel tick per slot; level 2 spans bwSlots ticks per slot, so
+	// any boundary within bwSlots² ticks (≈65 s at a 1 ms tick) files in
+	// O(1); only boundaries beyond that fall back to the overflow min-heap.
+	buckets  [bwSlots]uint32
+	buckets2 [bwSlots]uint32
+	overflow []uint32
 	curSlot  int64
 	// exhausted lists queued registered threads with spent budgets, in
 	// enqueue order; Pick naps them until their next period begins.
-	exhausted []*kernel.Thread
-	// curMin is a conservative lower bound on the smallest boundKey filed
-	// in the current cursor slot's L1 bucket: while curMin > now, no entry
-	// there is due and boundDrain skips the bucket walk entirely. Inserts
-	// into the current slot lower it; removals leave it stale-low, which
-	// only costs a wasted walk, never a late roll. Without the bound every
-	// dispatch re-walks the full current-slot bucket — with thousands of
-	// short-period threads sharing one tick-wide slot, that scan dominated
-	// the dispatch profile at 100k-session scale.
+	exhausted []*state
+	// curMin is a conservative lower bound on the smallest key filed in
+	// the current cursor slot's L1 bucket: while curMin > now, no entry
+	// there is due and boundDrain skips the bucket walk entirely. The walk
+	// that visits the current slot lowers it from the survivors, inserts
+	// into the current slot lower it, and removals leave it stale-low,
+	// which only costs a wasted walk, never a late roll. Without the bound
+	// every dispatch re-walks the full current-slot bucket — with
+	// thousands of short-period threads sharing one tick-wide slot, that
+	// scan dominated the dispatch profile at 100k-session scale.
 	curMin sim.Time
 }
 
 // timeMax is the +∞ sentinel for curMin when the current slot is empty.
 const timeMax = sim.Time(1<<63 - 1)
 
+// Ready-key layout. The key is the strict-weak-order completion of
+// better(), packed so that one integer comparison decides almost every
+// pair: registered threads with budget sort below unmanagedKey (RMS by
+// clamped period then enqueue sequence, EDF by period end), and every
+// other queued thread above it by enqueue sequence.
+const (
+	seqBits      = 42
+	seqMax       = 1<<seqBits - 1
+	unmanagedKey = uint64(1) << 63
+)
+
+// readyKey packs st's ready-heap order. Sequence numbers saturate at
+// seqMax; equal keys fall back to the full sequence in readyLess, so the
+// order stays exact under EDF (whose key carries no sequence) and past
+// saturation.
+func (p *Policy) readyKey(st *state) uint64 {
+	seq := st.seq
+	if seq > seqMax {
+		seq = seqMax
+	}
+	if !st.registered || st.budget <= 0 {
+		return unmanagedKey | seq
+	}
+	if p.Discipline == RMS {
+		return uint64(clampedPeriodMs(st))<<seqBits | seq
+	}
+	return uint64(p.periodEnd(st))
+}
+
 // readyLess orders the ready heap: the thread that should dispatch first
-// is the heap top. It is the strict-weak-order completion of better():
-// registered threads with budget beat unmanaged threads; within the
-// registered class RMS prefers shorter (clamped) periods and EDF earlier
-// period ends; all remaining ties fall back to enqueue order.
-func (p *Policy) readyLess(a, b *kernel.Thread) bool {
-	sa, sb := stateOf(a), stateOf(b)
-	ca := sa.registered && sa.budget > 0
-	cb := sb.registered && sb.budget > 0
-	if ca != cb {
-		return ca
+// is the heap top. Only an exact key tie loads the threads' state.
+func readyLess(a, b readyEnt) bool {
+	if a.k != b.k {
+		return a.k < b.k
 	}
-	if ca {
-		if p.Discipline == RMS {
-			pa, pb := clampedPeriodMs(sa), clampedPeriodMs(sb)
-			if pa != pb {
-				return pa < pb
-			}
-		} else {
-			ea, eb := p.periodEnd(sa), p.periodEnd(sb)
-			if ea != eb {
-				return ea < eb
-			}
-		}
-	}
-	return sa.seq < sb.seq
+	return a.st.seq < b.st.seq
 }
 
 // clampedPeriodMs is the period in whole milliseconds with the same
@@ -96,69 +128,68 @@ func clampedPeriodMs(st *state) int64 {
 
 // --- ready heap: queued threads eligible to run ---
 
-func (p *Policy) readyPush(sh *shard, t *kernel.Thread) {
-	st := stateOf(t)
-	st.heapIdx = len(sh.ready)
-	sh.ready = append(sh.ready, t)
-	p.readyUp(sh, st.heapIdx)
+func (p *Policy) readyPush(sh *shard, st *state) {
+	i := len(sh.ready)
+	sh.ready = append(sh.ready, readyEnt{k: p.readyKey(st), st: st})
+	readyUp(sh, i)
 }
 
-func (p *Policy) readyRemove(sh *shard, t *kernel.Thread) {
-	st := stateOf(t)
-	i := st.heapIdx
+func readyRemove(sh *shard, st *state) {
+	i := int(st.heapIdx)
 	if i < 0 {
 		return
 	}
 	st.heapIdx = -1
 	last := len(sh.ready) - 1
 	moved := sh.ready[last]
-	sh.ready[last] = nil // clear the vacated tail slot
+	sh.ready[last] = readyEnt{} // clear the vacated tail slot
 	sh.ready = sh.ready[:last]
 	if i == last {
 		return
 	}
 	sh.ready[i] = moved
-	stateOf(moved).heapIdx = i
-	p.readyFixAt(sh, i)
+	readyFixAt(sh, i)
 }
 
-// readyFix restores the heap property after t's key changed in place.
-func (p *Policy) readyFix(sh *shard, t *kernel.Thread) {
-	if i := stateOf(t).heapIdx; i >= 0 {
-		p.readyFixAt(sh, i)
+// readyFix re-keys st's entry after its order inputs changed in place and
+// restores the heap property.
+func (p *Policy) readyFix(sh *shard, st *state) {
+	if i := int(st.heapIdx); i >= 0 {
+		sh.ready[i].k = p.readyKey(st)
+		readyFixAt(sh, i)
 	}
 }
 
-func (p *Policy) readyFixAt(sh *shard, i int) {
-	if !p.readyDown(sh, i) {
-		p.readyUp(sh, i)
+func readyFixAt(sh *shard, i int) {
+	if !readyDown(sh, i) {
+		readyUp(sh, i)
 	}
 }
 
-func (p *Policy) readyTop(sh *shard) *kernel.Thread {
+func readyTop(sh *shard) *kernel.Thread {
 	if len(sh.ready) == 0 {
 		return nil
 	}
-	return sh.ready[0]
+	return sh.ready[0].st.t
 }
 
-func (p *Policy) readyUp(sh *shard, i int) {
-	t := sh.ready[i]
+func readyUp(sh *shard, i int) {
+	e := sh.ready[i]
 	for i > 0 {
 		parent := (i - 1) / 2
-		if !p.readyLess(t, sh.ready[parent]) {
+		if !readyLess(e, sh.ready[parent]) {
 			break
 		}
 		sh.ready[i] = sh.ready[parent]
-		stateOf(sh.ready[i]).heapIdx = i
+		sh.ready[i].st.heapIdx = int32(i)
 		i = parent
 	}
-	sh.ready[i] = t
-	stateOf(t).heapIdx = i
+	sh.ready[i] = e
+	e.st.heapIdx = int32(i)
 }
 
-func (p *Policy) readyDown(sh *shard, i int) bool {
-	t := sh.ready[i]
+func readyDown(sh *shard, i int) bool {
+	e := sh.ready[i]
 	n := len(sh.ready)
 	moved := false
 	for {
@@ -166,19 +197,19 @@ func (p *Policy) readyDown(sh *shard, i int) bool {
 		if kid >= n {
 			break
 		}
-		if r := kid + 1; r < n && p.readyLess(sh.ready[r], sh.ready[kid]) {
+		if r := kid + 1; r < n && readyLess(sh.ready[r], sh.ready[kid]) {
 			kid = r
 		}
-		if !p.readyLess(sh.ready[kid], t) {
+		if !readyLess(sh.ready[kid], e) {
 			break
 		}
 		sh.ready[i] = sh.ready[kid]
-		stateOf(sh.ready[i]).heapIdx = i
+		sh.ready[i].st.heapIdx = int32(i)
 		i = kid
 		moved = true
 	}
-	sh.ready[i] = t
-	stateOf(t).heapIdx = i
+	sh.ready[i] = e
+	e.st.heapIdx = int32(i)
 	return moved
 }
 
@@ -193,9 +224,11 @@ func (p *Policy) readyDown(sh *shard, i int) bool {
 // kernel tick each; level 2 has bwSlots buckets of bwSlots ticks each, so
 // boundaries up to bwSlots² ticks out (≈65 s at a 1 ms tick) insert and
 // remove in O(1) — L2 entries cascade into L1 as the cursor crosses their
-// span. Only boundaries beyond the L2 horizon go to the overflow min-heap
-// on cached keys. Order within a bucket is irrelevant: every due entry is
-// rolled before Pick reads the ready heap.
+// span. Only boundaries beyond the L2 horizon go to the overflow min-heap.
+// Order within a bucket is irrelevant to which entries roll — every due
+// entry is rolled before Pick reads the ready heap — but it fixes the
+// order of the rolls, and with it the ready heap's layout, so buckets are
+// LIFO lists whose removals keep the survivors' order.
 
 const (
 	bwSlots = 256
@@ -209,76 +242,74 @@ const (
 
 // Wheel levels, stored in state.boundLevel.
 const (
-	levelNone = iota
+	levelNone uint8 = iota
 	levelL1
 	levelL2
 	levelHeap
 )
 
-// boundInsert files t under its current period end in t's shard. t must be
-// queued, registered, and not already filed. Wheel buckets are intrusive
-// doubly linked lists threaded through the scheduling state, so filing and
-// unfiling never allocate no matter how boundaries cluster.
-func (p *Policy) boundInsert(sh *shard, t *kernel.Thread) {
-	st := stateOf(t)
+// boundInsert files st under its current period end in sh. The thread
+// must be queued, registered, and not already filed. Filing and unfiling
+// never allocate no matter how boundaries cluster.
+func (p *Policy) boundInsert(sh *shard, st *state) {
 	key := p.periodEnd(st)
-	st.boundKey = key
+	p.wn[st.id].key = key
 	slot := int64(key) / p.slotW
 	if slot < sh.curSlot {
-		slot = sh.curSlot // defensive; boundKey is re-checked when draining
+		slot = sh.curSlot // defensive; the key is re-checked when draining
 	}
 	if slot < sh.curSlot+bwSlots {
-		p.bucketLink(sh, &sh.buckets, t, levelL1, int(slot&bwMask))
+		p.bucketLink(&sh.buckets, st, levelL1, int(slot&bwMask))
 		if slot == sh.curSlot && key < sh.curMin {
 			sh.curMin = key
 		}
 		return
 	}
 	if slot>>bwBits < (sh.curSlot>>bwBits)+bwSlots {
-		p.bucketLink(sh, &sh.buckets2, t, levelL2, int((slot>>bwBits)&bwMask))
+		p.bucketLink(&sh.buckets2, st, levelL2, int((slot>>bwBits)&bwMask))
 		return
 	}
 	st.boundLevel = levelHeap
-	st.boundIdx = len(sh.overflow)
-	sh.overflow = append(sh.overflow, t)
-	p.overflowUp(sh, st.boundIdx)
+	i := len(sh.overflow)
+	sh.overflow = append(sh.overflow, st.id)
+	p.overflowUp(sh, i)
 }
 
-// bucketLink pushes t onto the head of a wheel bucket's intrusive list.
-func (p *Policy) bucketLink(sh *shard, buckets *[bwSlots]*kernel.Thread, t *kernel.Thread, level, b int) {
-	st := stateOf(t)
+// bucketLink pushes st's node onto the head of a wheel bucket's list.
+func (p *Policy) bucketLink(buckets *[bwSlots]uint32, st *state, level uint8, b int) {
 	st.boundLevel = level
-	st.boundSlot = b
-	st.boundPrev = nil
-	st.boundNext = buckets[b]
-	if st.boundNext != nil {
-		stateOf(st.boundNext).boundPrev = t
+	st.boundSlot = int16(b)
+	id := st.id
+	n := &p.wn[id]
+	n.prev = 0
+	n.next = buckets[b]
+	if n.next != 0 {
+		p.wn[n.next].prev = id
 	}
-	buckets[b] = t
+	buckets[b] = id
 }
 
-func (p *Policy) boundRemove(sh *shard, t *kernel.Thread) {
-	st := stateOf(t)
+func (p *Policy) boundRemove(sh *shard, st *state) {
 	switch st.boundLevel {
 	case levelNone:
 		return
 	case levelHeap:
-		p.overflowRemove(sh, t)
+		p.overflowRemove(sh, st)
 	case levelL1, levelL2:
 		buckets := &sh.buckets
 		if st.boundLevel == levelL2 {
 			buckets = &sh.buckets2
 		}
-		if st.boundPrev != nil {
-			stateOf(st.boundPrev).boundNext = st.boundNext
+		n := &p.wn[st.id]
+		if n.prev != 0 {
+			p.wn[n.prev].next = n.next
 		} else {
-			buckets[st.boundSlot] = st.boundNext
+			buckets[st.boundSlot] = n.next
 		}
-		if st.boundNext != nil {
-			stateOf(st.boundNext).boundPrev = st.boundPrev
+		if n.next != 0 {
+			p.wn[n.next].prev = n.prev
 		}
-		st.boundPrev = nil
-		st.boundNext = nil
+		n.prev, n.next = 0, 0
 	}
 	st.boundLevel = levelNone
 	st.boundSlot = boundNone
@@ -290,7 +321,7 @@ func (p *Policy) boundRemove(sh *shard, t *kernel.Thread) {
 // span the cursor crossed cascade — due entries roll, the rest refile
 // (necessarily into L1, since their slot is within bwSlots of the new
 // cursor). Entries refiled during the drain always carry a
-// rolled-past-now key, so the walk never revisits them.
+// rolled-past-now key, so the walk never rolls them twice.
 func (p *Policy) boundDrain(sh *shard, now sim.Time) {
 	target := int64(now) / p.slotW
 	if target < sh.curSlot {
@@ -307,21 +338,28 @@ func (p *Policy) boundDrain(sh *shard, now sim.Time) {
 	// is still polled below — its top can come due mid-slot.
 	if target > oldSlot || sh.curMin <= now {
 		// L1: buckets strictly behind now's slot are entirely due; the
-		// current slot is filtered by cached key.
+		// current slot is filtered by cached key. The target bucket holds
+		// only target-slot entries, so its survivors — plus whatever the
+		// drain refiles into it through boundInsert — give the exact new
+		// curMin.
+		sh.curMin = timeMax
 		first := oldSlot
 		if target-first >= bwSlots {
 			first = target - bwSlots + 1 // the wheel holds nothing older
 		}
 		for s := first; s <= target; s++ {
-			t := sh.buckets[s&bwMask]
-			for t != nil {
-				st := stateOf(t)
-				next := st.boundNext
-				if st.boundKey <= now {
-					p.boundRemove(sh, t)
-					p.rollDue(t, st, now)
+			cur := s == target
+			for id := sh.buckets[s&bwMask]; id != 0; {
+				n := &p.wn[id]
+				next := n.next
+				if n.key <= now {
+					st := p.ws[id]
+					p.boundRemove(sh, st)
+					p.rollDue(sh, st, now)
+				} else if cur && n.key < sh.curMin {
+					sh.curMin = n.key
 				}
-				t = next
+				id = next
 			}
 		}
 
@@ -335,85 +373,69 @@ func (p *Policy) boundDrain(sh *shard, now sim.Time) {
 		}
 		for s2 := first2; s2 <= tgt2; s2++ {
 			b := int(s2 & bwMask)
-			for sh.buckets2[b] != nil {
-				t := sh.buckets2[b]
-				st := stateOf(t)
-				p.boundRemove(sh, t)
-				if st.boundKey <= now {
-					p.rollDue(t, st, now)
+			for id := sh.buckets2[b]; id != 0; id = sh.buckets2[b] {
+				st := p.ws[id]
+				p.boundRemove(sh, st)
+				if p.wn[id].key <= now {
+					p.rollDue(sh, st, now)
 				} else {
-					p.boundInsert(sh, t) // refiles against the advanced cursor
+					p.boundInsert(sh, st) // refiles against the advanced cursor
 				}
 			}
 		}
-
-		// Recompute the current slot's exact minimum over the survivors and
-		// everything the walk refiled into it; later inserts keep it fresh
-		// through boundInsert.
-		min := timeMax
-		for t := sh.buckets[target&bwMask]; t != nil; t = stateOf(t).boundNext {
-			if k := stateOf(t).boundKey; k < min {
-				min = k
-			}
-		}
-		sh.curMin = min
 	}
 
 	for len(sh.overflow) > 0 {
-		t := sh.overflow[0]
-		st := stateOf(t)
-		if st.boundKey > now {
+		id := sh.overflow[0]
+		if p.wn[id].key > now {
 			break
 		}
-		p.boundRemove(sh, t)
-		p.rollDue(t, st, now)
+		st := p.ws[id]
+		p.boundRemove(sh, st)
+		p.rollDue(sh, st, now)
 	}
 }
 
-// --- overflow min-heap on (boundKey, seq), for far-future boundaries ---
+// --- overflow min-heap on (key, seq), for far-future boundaries ---
 
-func (p *Policy) overflowLess(a, b *kernel.Thread) bool {
-	sa, sb := stateOf(a), stateOf(b)
-	if sa.boundKey != sb.boundKey {
-		return sa.boundKey < sb.boundKey
+func (p *Policy) overflowLess(a, b uint32) bool {
+	if ka, kb := p.wn[a].key, p.wn[b].key; ka != kb {
+		return ka < kb
 	}
-	return sa.seq < sb.seq
+	return p.ws[a].seq < p.ws[b].seq
 }
 
-func (p *Policy) overflowRemove(sh *shard, t *kernel.Thread) {
-	st := stateOf(t)
-	i := st.boundIdx
+func (p *Policy) overflowRemove(sh *shard, st *state) {
+	i := int(st.boundIdx)
 	last := len(sh.overflow) - 1
 	moved := sh.overflow[last]
-	sh.overflow[last] = nil
 	sh.overflow = sh.overflow[:last]
 	if i == last {
 		return
 	}
 	sh.overflow[i] = moved
-	stateOf(moved).boundIdx = i
 	if !p.overflowDown(sh, i) {
 		p.overflowUp(sh, i)
 	}
 }
 
 func (p *Policy) overflowUp(sh *shard, i int) {
-	t := sh.overflow[i]
+	id := sh.overflow[i]
 	for i > 0 {
 		parent := (i - 1) / 2
-		if !p.overflowLess(t, sh.overflow[parent]) {
+		if !p.overflowLess(id, sh.overflow[parent]) {
 			break
 		}
 		sh.overflow[i] = sh.overflow[parent]
-		stateOf(sh.overflow[i]).boundIdx = i
+		p.ws[sh.overflow[i]].boundIdx = int32(i)
 		i = parent
 	}
-	sh.overflow[i] = t
-	stateOf(t).boundIdx = i
+	sh.overflow[i] = id
+	p.ws[id].boundIdx = int32(i)
 }
 
 func (p *Policy) overflowDown(sh *shard, i int) bool {
-	t := sh.overflow[i]
+	id := sh.overflow[i]
 	n := len(sh.overflow)
 	moved := false
 	for {
@@ -424,16 +446,16 @@ func (p *Policy) overflowDown(sh *shard, i int) bool {
 		if r := kid + 1; r < n && p.overflowLess(sh.overflow[r], sh.overflow[kid]) {
 			kid = r
 		}
-		if !p.overflowLess(sh.overflow[kid], t) {
+		if !p.overflowLess(sh.overflow[kid], id) {
 			break
 		}
 		sh.overflow[i] = sh.overflow[kid]
-		stateOf(sh.overflow[i]).boundIdx = i
+		p.ws[sh.overflow[i]].boundIdx = int32(i)
 		i = kid
 		moved = true
 	}
-	sh.overflow[i] = t
-	stateOf(t).boundIdx = i
+	sh.overflow[i] = id
+	p.ws[id].boundIdx = int32(i)
 	return moved
 }
 
@@ -442,25 +464,23 @@ func (p *Policy) overflowDown(sh *shard, i int) bool {
 // exhAdd inserts t into the exhausted list keeping it sorted by enqueue
 // sequence, which is the order the legacy scan napped exhausted threads
 // in (their runnable-slice order). The list is almost always tiny.
-func (p *Policy) exhAdd(sh *shard, t *kernel.Thread) {
-	st := stateOf(t)
+func exhAdd(sh *shard, st *state) {
 	if st.exhIdx >= 0 {
 		return
 	}
 	i := len(sh.exhausted)
 	sh.exhausted = append(sh.exhausted, nil)
-	for i > 0 && stateOf(sh.exhausted[i-1]).seq > st.seq {
+	for i > 0 && sh.exhausted[i-1].seq > st.seq {
 		sh.exhausted[i] = sh.exhausted[i-1]
-		stateOf(sh.exhausted[i]).exhIdx = i
+		sh.exhausted[i].exhIdx = int32(i)
 		i--
 	}
-	sh.exhausted[i] = t
-	st.exhIdx = i
+	sh.exhausted[i] = st
+	st.exhIdx = int32(i)
 }
 
-func (p *Policy) exhRemove(sh *shard, t *kernel.Thread) {
-	st := stateOf(t)
-	i := st.exhIdx
+func exhRemove(sh *shard, st *state) {
+	i := int(st.exhIdx)
 	if i < 0 {
 		return
 	}
@@ -470,6 +490,6 @@ func (p *Policy) exhRemove(sh *shard, t *kernel.Thread) {
 	sh.exhausted[last] = nil
 	sh.exhausted = sh.exhausted[:last]
 	for ; i < last; i++ {
-		stateOf(sh.exhausted[i]).exhIdx = i
+		sh.exhausted[i].exhIdx = int32(i)
 	}
 }

@@ -16,12 +16,16 @@
 // microsecond-granularity accounting, and is benchmarked as an ablation.
 //
 // The dispatcher's hot path is O(log n) in the number of queued threads:
-// the runnable set is an intrusive indexed heap ordered by the discipline
-// (see heap.go), period refresh is driven by a period-boundary heap
-// processed at dispatch points instead of a full refresh scan per Pick,
-// and the registered-proportion total is maintained incrementally. The
+// the runnable set is an indexed heap of packed sort keys ordered by the
+// discipline, period refresh is driven by a two-level period-boundary
+// wheel threaded through a dense node array and drained at dispatch
+// points instead of a full refresh scan per Pick (see heap.go), and the
+// registered-proportion total is maintained incrementally. Both
+// structures keep their hot data in contiguous arrays, so comparisons and
+// bucket walks load a thread's state only when they must act on it. The
 // resulting schedule is bit-identical to the legacy linear scan's (the
-// Verify hook cross-checks every Pick against the scan order).
+// Verify hook cross-checks every Pick against the scan order and audits
+// the cached keys and wheel links from scratch).
 package rbs
 
 import (
@@ -69,10 +73,14 @@ func (r Reservation) String() string {
 	return fmt.Sprintf("%d/1000 over %v", r.Proportion, r.Period)
 }
 
-// state is the per-thread scheduling state.
+// state is the per-thread scheduling state. Its fields are sized so the
+// whole object is 128 bytes on 64-bit hosts: states are carved from
+// page-aligned slabs, so each one occupies one aligned pair of cache
+// lines, and a period roll — the dispatcher's most frequent touch of a
+// state it has not seen lately — loads that pair instead of straddling
+// three or four lines (TestStateIsTwoCacheLines pins the size).
 type state struct {
-	registered bool
-	res        Reservation
+	res Reservation
 
 	periodStart sim.Time
 	budget      sim.Duration // remaining allocation this period
@@ -80,41 +88,48 @@ type state struct {
 	// perBudget caches res.Budget() so the per-period roll does no
 	// multiply/divide; SetReservation keeps it in sync.
 	perBudget sim.Duration
-	queued    bool
-	napping   bool // asleep on budget exhaustion (not a voluntary sleep)
-	missed    uint64
+	// totalGranted accumulates the budgets granted across periods, for the
+	// proportion-delivery property tests.
+	totalGranted sim.Duration
+	missed       uint64
 
 	// seq reconstructs the legacy runnable-slice order: assigned when the
 	// thread enters the queue and reassigned on round-robin rotation, so
 	// FIFO-among-equals tie-breaking matches the linear scan exactly.
 	seq uint64
+	// t is the thread this state schedules, so the dispatch structures
+	// can hold states and reach the thread in one load.
+	t *kernel.Thread
+
+	// id indexes the policy's dense wheel arrays (wn, ws). It is assigned
+	// when the state is carved from a slab and kept across recycling; 0 is
+	// reserved as the nil link.
+	id uint32
 	// heapIdx/exhIdx track the thread's positions in the ready heap and
 	// the exhausted list (-1 = absent).
-	heapIdx int
-	exhIdx  int
-	// boundLevel/boundSlot/boundIdx/boundKey track the thread's entry in
-	// the two-level period-boundary wheel (L1/L2 bucket or overflow heap,
-	// see heap.go); boundKey caches the period end the entry was filed
-	// under, and boundPrev/boundNext link the intrusive bucket list.
-	boundLevel int
-	boundSlot  int
-	boundIdx   int
-	boundKey   sim.Time
-	boundPrev  *kernel.Thread
-	boundNext  *kernel.Thread
+	heapIdx int32
+	exhIdx  int32
+	// boundLevel/boundSlot/boundIdx track the thread's entry in the
+	// two-level period-boundary wheel (L1/L2 bucket or overflow heap, see
+	// heap.go); the filed key and the bucket links live in wn[id].
+	boundIdx   int32
+	boundSlot  int16
+	boundLevel uint8
+
+	registered bool
+	queued     bool
+	napping    bool // asleep on budget exhaustion (not a voluntary sleep)
 	// counted marks threads included in the incremental proportion total.
 	counted bool
 
 	// rrUsed is quantum usage for unregistered threads.
 	rrUsed sim.Duration
 
-	// totalGranted accumulates the budgets granted across periods, for the
-	// proportion-delivery property tests.
-	totalGranted sim.Duration
-
 	// freeNext links the object into the policy's free list while pooled
 	// (recycle mode only).
 	freeNext *state
+
+	_ [8]byte // pads the state to two cache lines on 64-bit hosts
 }
 
 // Policy is the reservation-based dispatcher.
@@ -139,6 +154,11 @@ type Policy struct {
 	// whole machine.
 	shards []shard
 	slotW  int64
+	// wn and ws are the boundary wheel's dense node array and the state
+	// owning each node, both indexed by state id; index 0 is the nil
+	// sentinel. Bucket walks read wn only and touch ws for due entries.
+	wn []wheelNode
+	ws []*state
 
 	seqGen    uint64
 	totalProp int
@@ -174,6 +194,8 @@ func (p *Policy) Attach(k *kernel.Kernel) {
 	p.slotW = int64(k.Config().TickInterval)
 	p.shards = make([]shard, k.NumCPUs())
 	p.needResched = make([]bool, k.NumCPUs())
+	p.wn = make([]wheelNode, 1)
+	p.ws = make([]*state, 1)
 	for i := range p.shards {
 		p.shards[i].curSlot = int64(k.Now()) / p.slotW
 	}
@@ -200,7 +222,7 @@ const stateSlabSize = 256
 func (p *Policy) allocState() *state {
 	if st := p.freeState; st != nil {
 		p.freeState = st.freeNext
-		*st = state{heapIdx: -1, exhIdx: -1, boundLevel: levelNone, boundSlot: boundNone, boundIdx: -1}
+		*st = state{id: st.id, heapIdx: -1, exhIdx: -1, boundLevel: levelNone, boundSlot: boundNone, boundIdx: -1}
 		return st
 	}
 	if len(p.stSlab) == 0 {
@@ -208,6 +230,9 @@ func (p *Policy) allocState() *state {
 	}
 	st := &p.stSlab[0]
 	p.stSlab = p.stSlab[1:]
+	st.id = uint32(len(p.wn))
+	p.wn = append(p.wn, wheelNode{})
+	p.ws = append(p.ws, st)
 	st.heapIdx, st.exhIdx = -1, -1
 	st.boundLevel, st.boundSlot, st.boundIdx = levelNone, boundNone, -1
 	return st
@@ -215,16 +240,19 @@ func (p *Policy) allocState() *state {
 
 // AddThread implements kernel.Policy: new threads start unregistered.
 func (p *Policy) AddThread(t *kernel.Thread, now sim.Time) {
-	t.Sched = p.allocState()
+	st := p.allocState()
+	st.t = t
+	t.Sched = st
 }
 
 // RemoveThread implements kernel.Policy. The thread leaves the proportion
 // total here rather than in the controller's exit-hook teardown, matching
 // the old full-scan TotalProportion which skipped exited threads on every
 // call.
-// In recycle mode the state object is pooled here: the kernel guarantees
-// the thread is already out of every dispatch structure (Dequeue runs
-// first on the exit path), so nothing in the shard still references it.
+// The kernel guarantees the thread is already out of every dispatch
+// structure (Dequeue runs first on the exit path), so nothing in the shard
+// still references the state: it drops its thread back-pointer here, and
+// in recycle mode the state object, with its wheel node id, is pooled.
 func (p *Policy) RemoveThread(t *kernel.Thread, now sim.Time) {
 	st, ok := t.Sched.(*state)
 	if !ok {
@@ -234,6 +262,7 @@ func (p *Policy) RemoveThread(t *kernel.Thread, now sim.Time) {
 		p.totalProp -= st.res.Proportion
 		st.counted = false
 	}
+	st.t = nil
 	if p.recycle {
 		t.Sched = nil
 		st.freeNext = p.freeState
@@ -280,7 +309,7 @@ func (p *Policy) SetReservation(t *kernel.Thread, res Reservation) error {
 		}
 		st.res = res
 		st.perBudget = res.Budget()
-		p.refresh(t, st, now)
+		p.refresh(st, now)
 		// Re-derive the remaining budget from the new proportion so total
 		// usage this period tops out at the new allocation.
 		b := res.Budget() - st.used
@@ -355,14 +384,14 @@ func (p *Policy) MissedDeadlines() uint64 { return p.missedTotal }
 // instead of a scan over every thread ever created.
 func (p *Policy) TotalProportion() int { return p.totalProp }
 
-// refresh rolls t's period forward to contain now, refilling the budget and
+// refresh rolls st's period forward to contain now, refilling the budget and
 // recording deadline misses. The roll is closed-form over the k periods
 // that ended (the legacy loop rolled one at a time): the first ended
 // period misses iff the thread was queued with budget left, and each
-// further one iff it was queued with a non-empty refill. Callers with t in
+// further one iff it was queued with a non-empty refill. Callers with st in
 // the queue must re-fix the priority structures afterwards (roll does
 // both).
-func (p *Policy) refresh(t *kernel.Thread, st *state, now sim.Time) {
+func (p *Policy) refresh(st *state, now sim.Time) {
 	if !st.registered {
 		return
 	}
@@ -397,25 +426,25 @@ func (p *Policy) roll(t *kernel.Thread, st *state, now sim.Time) {
 		return
 	}
 	if !st.queued {
-		p.refresh(t, st, now)
+		p.refresh(st, now)
 		return
 	}
-	p.boundRemove(p.shardOf(t), t)
-	p.rollDue(t, st, now)
+	sh := p.shardOf(t)
+	p.boundRemove(sh, st)
+	p.rollDue(sh, st, now)
 }
 
 // rollDue rolls a queued registered thread whose boundary entry has been
 // taken out of the wheel, and refiles it.
-func (p *Policy) rollDue(t *kernel.Thread, st *state, now sim.Time) {
-	sh := p.shardOf(t)
+func (p *Policy) rollDue(sh *shard, st *state, now sim.Time) {
 	wasExhausted := st.exhIdx >= 0
-	p.refresh(t, st, now)
-	p.boundInsert(sh, t)
+	p.refresh(st, now)
+	p.boundInsert(sh, st)
 	if wasExhausted && st.budget > 0 {
-		p.exhRemove(sh, t)
-		p.readyPush(sh, t)
+		exhRemove(sh, st)
+		p.readyPush(sh, st)
 	} else if p.Discipline == EDF {
-		p.readyFix(sh, t)
+		p.readyFix(sh, st)
 	}
 }
 
@@ -426,20 +455,20 @@ func (p *Policy) reconcile(t *kernel.Thread, st *state) {
 		return
 	}
 	sh := p.shardOf(t)
-	p.boundRemove(sh, t)
+	p.boundRemove(sh, st)
 	if st.registered {
-		p.boundInsert(sh, t)
+		p.boundInsert(sh, st)
 	}
 	if !st.registered || st.budget > 0 {
-		p.exhRemove(sh, t)
+		exhRemove(sh, st)
 		if st.heapIdx < 0 {
-			p.readyPush(sh, t)
+			p.readyPush(sh, st)
 		} else {
-			p.readyFix(sh, t)
+			p.readyFix(sh, st)
 		}
 	} else {
-		p.readyRemove(sh, t)
-		p.exhAdd(sh, t)
+		readyRemove(sh, st)
+		exhAdd(sh, st)
 	}
 }
 
@@ -467,7 +496,7 @@ func (p *Policy) goodness(t *kernel.Thread) int64 {
 func (p *Policy) Enqueue(t *kernel.Thread, now sim.Time) {
 	st := stateOf(t)
 	st.napping = false
-	p.refresh(t, st, now)
+	p.refresh(st, now)
 	if st.queued {
 		return
 	}
@@ -476,14 +505,14 @@ func (p *Policy) Enqueue(t *kernel.Thread, now sim.Time) {
 	st.seq = p.seqGen
 	p.seqGen++
 	if st.registered {
-		p.boundInsert(sh, t)
+		p.boundInsert(sh, st)
 		if st.budget > 0 {
-			p.readyPush(sh, t)
+			p.readyPush(sh, st)
 		} else {
-			p.exhAdd(sh, t)
+			exhAdd(sh, st)
 		}
 	} else {
-		p.readyPush(sh, t)
+		p.readyPush(sh, st)
 	}
 	if cur := p.k.CurrentOn(t.CPU()); cur != nil && p.better(t, cur) {
 		p.needResched[t.CPU()] = true
@@ -498,9 +527,9 @@ func (p *Policy) Dequeue(t *kernel.Thread, now sim.Time) {
 	}
 	sh := p.shardOf(t)
 	st.queued = false
-	p.readyRemove(sh, t)
-	p.boundRemove(sh, t)
-	p.exhRemove(sh, t)
+	readyRemove(sh, st)
+	p.boundRemove(sh, st)
+	exhRemove(sh, st)
 }
 
 // Steal implements kernel.Policy: hand over a migratable runnable thread
@@ -508,10 +537,12 @@ func (p *Policy) Dequeue(t *kernel.Thread, now sim.Time) {
 // index order, so the heap top — the thread that would run there next —
 // is preferred when movable.
 func (p *Policy) Steal(from int, now sim.Time) *kernel.Thread {
-	sh := &p.shards[from]
-	if t := kernel.StealCandidate(sh.ready, p.k.CurrentOn(from)); t != nil {
-		p.Dequeue(t, now)
-		return t
+	cur := p.k.CurrentOn(from)
+	for _, e := range p.shards[from].ready {
+		if t := e.st.t; kernel.Movable(t, cur) {
+			p.Dequeue(t, now)
+			return t
+		}
 	}
 	return nil
 }
@@ -555,28 +586,43 @@ func (p *Policy) Pick(cpu int, now sim.Time) *kernel.Thread {
 		// skips the list and the whole drain is O(n), in enqueue order (nap
 		// order fixes timer order at equal deadlines, hence wake order).
 		for i := 0; i < n; i++ {
-			t := sh.exhausted[i]
+			st := sh.exhausted[i]
 			sh.exhausted[i] = nil
-			st := stateOf(t)
 			st.exhIdx = -1
 			st.napping = true
-			p.k.SleepThreadUntil(t, p.periodEnd(st))
+			p.k.SleepThreadUntil(st.t, p.periodEnd(st))
 		}
 		sh.exhausted = sh.exhausted[:0]
 	}
 	if p.Verify {
 		p.verifyPick(sh, now)
 	}
-	return p.readyTop(sh)
+	return readyTop(sh)
 }
 
 // verifyPick replays the legacy linear scan — runnable threads in slice
 // (enqueue) order, first-best wins via better() — and panics if the heap
 // disagrees. It also asserts the invariants the heap relies on: every due
 // period has been rolled and no exhausted thread lingers in the ready set.
+// Before the scan it audits, from scratch, the cached state the fast
+// paths trust: every ready entry's packed key and heap index, and the
+// shard's boundary wheel (auditWheel).
 func (p *Policy) verifyPick(sh *shard, now sim.Time) {
 	scan := make([]*kernel.Thread, len(sh.ready))
-	copy(scan, sh.ready)
+	for i, e := range sh.ready {
+		st := e.st
+		if st.t == nil || stateOf(st.t) != st {
+			panic(fmt.Sprintf("rbs: verify: ready entry %d holds a detached state", i))
+		}
+		if want := p.readyKey(st); e.k != want {
+			panic(fmt.Sprintf("rbs: verify: ready key of %v is %#x, recomputed %#x", st.t, e.k, want))
+		}
+		if int(st.heapIdx) != i {
+			panic(fmt.Sprintf("rbs: verify: %v sits at heap index %d, state says %d", st.t, i, st.heapIdx))
+		}
+		scan[i] = st.t
+	}
+	p.auditWheel(sh)
 	sort.Slice(scan, func(i, j int) bool {
 		return stateOf(scan[i]).seq < stateOf(scan[j]).seq
 	})
@@ -593,8 +639,79 @@ func (p *Policy) verifyPick(sh *shard, now sim.Time) {
 			best = t
 		}
 	}
-	if top := p.readyTop(sh); top != best {
+	if top := readyTop(sh); top != best {
 		panic(fmt.Sprintf("rbs: verify: heap picked %v, scan picked %v", top, best))
+	}
+}
+
+// auditWheel re-derives sh's boundary wheel from scratch and panics on any
+// divergence: bucket links must be symmetric, every filed node must sit
+// where its state says under the key periodEnd gives, every queued
+// registered thread must be filed exactly once and nothing else at all,
+// and curMin must not exceed any key in the current slot.
+func (p *Policy) auditWheel(sh *shard) {
+	filed := make(map[uint32]int)
+	file := func(id uint32, level uint8, pos int) {
+		if filed[id]++; filed[id] > 1 {
+			panic(fmt.Sprintf("rbs: verify: wheel node %d filed more than once", id))
+		}
+		st := p.ws[id]
+		if !st.queued || !st.registered {
+			panic(fmt.Sprintf("rbs: verify: wheel node %d filed for a thread that is not queued and registered", id))
+		}
+		t := st.t
+		at := int(st.boundSlot)
+		if level == levelHeap {
+			at = int(st.boundIdx)
+		}
+		if st.id != id || st.boundLevel != level || at != pos {
+			panic(fmt.Sprintf("rbs: verify: %v filed at level %d position %d, state says node %d level %d position %d",
+				t, level, pos, st.id, st.boundLevel, at))
+		}
+		if k, want := p.wn[id].key, p.periodEnd(st); k != want {
+			panic(fmt.Sprintf("rbs: verify: wheel node key of %v is %v, period end %v", t, k, want))
+		}
+	}
+	walk := func(buckets *[bwSlots]uint32, level uint8) {
+		for b, head := range buckets {
+			prev := uint32(0)
+			for id := head; id != 0; id = p.wn[id].next {
+				if p.wn[id].prev != prev {
+					panic(fmt.Sprintf("rbs: verify: wheel link asymmetry: node %d links back to %d, follows %d",
+						id, p.wn[id].prev, prev))
+				}
+				file(id, level, b)
+				prev = id
+			}
+		}
+	}
+	walk(&sh.buckets, levelL1)
+	walk(&sh.buckets2, levelL2)
+	for i, id := range sh.overflow {
+		file(id, levelHeap, i)
+	}
+	queued := 0
+	check := func(st *state) {
+		queued++
+		if n := filed[st.id]; n != 1 {
+			panic(fmt.Sprintf("rbs: verify: queued registered %v filed %d times", st.t, n))
+		}
+	}
+	for _, st := range sh.exhausted {
+		check(st)
+	}
+	for _, e := range sh.ready {
+		if e.st.registered {
+			check(e.st)
+		}
+	}
+	if len(filed) != queued {
+		panic(fmt.Sprintf("rbs: verify: wheel files %d nodes for %d queued registered threads", len(filed), queued))
+	}
+	for id := sh.buckets[sh.curSlot&bwMask]; id != 0; id = p.wn[id].next {
+		if k := p.wn[id].key; k < sh.curMin {
+			panic(fmt.Sprintf("rbs: verify: curMin %v above current-slot key %v", sh.curMin, k))
+		}
 	}
 }
 
@@ -647,8 +764,8 @@ func (p *Policy) Charge(t *kernel.Thread, cpu int, ran sim.Duration, now sim.Tim
 			// Stays queued with a spent budget (the legacy scan kept such
 			// threads in the runnable slice); Pick naps it next dispatch.
 			sh := p.shardOf(t)
-			p.readyRemove(sh, t)
-			p.exhAdd(sh, t)
+			readyRemove(sh, st)
+			exhAdd(sh, st)
 		}
 		return true
 	}
@@ -665,7 +782,7 @@ func (p *Policy) rotate(t *kernel.Thread) {
 	}
 	st.seq = p.seqGen
 	p.seqGen++
-	p.readyFix(p.shardOf(t), t)
+	p.readyFix(p.shardOf(t), st)
 }
 
 // Tick implements kernel.Policy.

@@ -18,6 +18,11 @@ go test -run '^$' -bench 'BenchmarkEngineScheduleAndFire|BenchmarkEngineChainedT
 go test -run '^$' -bench 'BenchmarkSimulatedSecondOneHog|BenchmarkSimulatedSecondPipeline|BenchmarkContextSwitchStorm|BenchmarkTimerHeavySleepers' \
     -benchmem ./internal/kernel/ >>"$tmp" 2>&1
 
+# Dispatcher-layer bench: one rbs Pick over ~3,000 queued registered
+# threads per CPU on 8 CPUs (boundary-wheel drain + ready heap); must stay
+# at 0 allocs/op.
+go test -run '^$' -bench 'BenchmarkPickDrain' -benchmem ./internal/rbs/ >>"$tmp" 2>&1
+
 # Scheduler-core scaling bench: dispatch cost versus thread count.
 go test -run '^$' -bench 'BenchmarkStormDispatch' -benchtime 30x -benchmem . >>"$tmp" 2>&1
 

@@ -1,7 +1,8 @@
 #!/usr/bin/env bash
-# Regenerates the Figure 5-8 outputs and two generated-workload sweeps
-# (the default controller, and the 4-shard event-driven plane, across every
-# scenario family on 1 and several CPUs with churn) and byte-compares them
+# Regenerates the Figure 5-8 outputs, two generated-workload sweeps (the
+# default controller, and the 4-shard event-driven plane, across every
+# scenario family on 1 and several CPUs with churn) and the two dispatch
+# traces (the 1-CPU pipeline, the 4-CPU rbs churn), and byte-compares them
 # against the committed goldens in testdata/goldens/. Any drift in the
 # dispatch schedule or controller arithmetic fails the build.
 #
@@ -24,6 +25,19 @@ if go test -run 'TestRBSDispatchTraceGolden|TestSMPOneCPUGoldenEquivalence' -cou
   echo "rbs_dispatch (CPUs=1): byte-identical"
 else
   echo "rbs_dispatch (CPUs=1): diverged" >&2
+  status=1
+fi
+
+# SMP rbs schedule: a churning 4-CPU machine under RMS and EDF must
+# reproduce testdata/goldens/rbs_smp.golden byte-for-byte (the test's
+# -update flag rewrites it).
+if [ "$update" = 1 ]; then
+  go test -run 'TestRBSSMPTraceGolden' -count=1 ./internal/rbs -update >/dev/null
+  echo "rbs_smp: updated"
+elif go test -run 'TestRBSSMPTraceGolden' -count=1 ./internal/rbs >/dev/null; then
+  echo "rbs_smp (CPUs=4, RMS+EDF): byte-identical"
+else
+  echo "rbs_smp (CPUs=4, RMS+EDF): diverged" >&2
   status=1
 fi
 
