@@ -1,8 +1,8 @@
 GO ?= go
 
-.PHONY: all build examples vet test race bench fuzz goldens stress clean
+.PHONY: all build examples vet idmaps test race bench fuzz goldens stress clean
 
-all: build vet test goldens
+all: build vet idmaps test goldens
 
 build:
 	$(GO) build ./...
@@ -15,6 +15,14 @@ examples:
 
 vet:
 	$(GO) vet ./...
+
+# idmaps fails when non-test Go keys a map by *kernel.Thread (spelled
+# *Thread inside internal/kernel): per-thread state lives on the thread
+# (Sched, User) or in a kernel.SlotTable indexed by Thread.Slot.
+idmaps:
+	@if grep -rn --include='*.go' --exclude='*_test.go' --exclude-dir=.bench_build 'map\[\*kernel\.Thread\]' . || \
+	   grep -n 'map\[\*Thread\]' $$(ls internal/kernel/*.go | grep -v '_test\.go$$'); then \
+		echo "idmaps: map keyed by *kernel.Thread; use Thread.Sched/User or kernel.SlotTable" >&2; exit 1; fi
 
 test:
 	$(GO) test ./...
@@ -73,8 +81,9 @@ stress:
 	$(GO) run ./cmd/rrexp -gen -scenario slo -cpus 4 -controller event -shards 2 -seeds $(STRESS_SLO_SEEDS)
 	$(GO) run ./cmd/rrexp -gen -scenario slo -cpus 8 -controller event -seeds $(STRESS_SLO_SEEDS)
 
-# goldens byte-compares the Figure 5-8 outputs against the committed
-# goldens in testdata/goldens/ (re-bless with scripts/goldens.sh -update).
+# goldens byte-compares every committed golden in testdata/goldens/ —
+# Figures 5-8, the rbs dispatch traces and the generated-workload runs —
+# against a fresh run (re-bless with scripts/goldens.sh -update).
 goldens:
 	./scripts/goldens.sh
 

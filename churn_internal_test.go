@@ -44,37 +44,40 @@ func churnProg(steps int) Program {
 
 // TestChurnPoolNonLeak drives hundreds of short-lived spawns through the
 // pooled lifecycle and checks nothing accumulates with the total spawn
-// count: the kernel free list and the handle index are both bounded by the
-// peak number of simultaneously live threads, not by how many threads ever
-// existed.
+// count: the kernel free list, the kernel's slot high-water mark and every
+// per-thread slot table are bounded by the peak number of simultaneously
+// held threads, not by how many threads ever existed, and the identity
+// oracle holds throughout.
 func TestChurnPoolNonLeak(t *testing.T) {
 	sys := NewSystem(Config{})
 	peak, spawned := 0, 0
-	sample := func() {
-		if n := len(sys.kern.Threads()); n > peak {
-			peak = n
-		}
-	}
+	var handles []*Thread
 	step := 0
 	sys.Every(10*time.Millisecond, func(now time.Duration) {
 		step++
-		sample()
+		// Only spawns add threads, and a spawn holds a kernel thread for
+		// the length of the call even when admission refuses it.
+		peak = max(peak, len(sys.kern.Threads())+1)
 		name := fmt.Sprintf("churn%d", step%5)
+		var th *Thread
 		var err error
 		switch step % 3 {
 		case 0:
-			_, err = sys.Spawn(name, churnProg(3), Reserve(20, 10*time.Millisecond))
+			th, err = sys.Spawn(name, churnProg(3), Reserve(20, 10*time.Millisecond))
 		case 1:
-			_, err = sys.Spawn(name, churnProg(4), Miscellaneous())
+			th, err = sys.Spawn(name, churnProg(4), Miscellaneous())
 		default:
-			_, err = sys.Spawn(name, churnProg(2), Interactive())
+			th, err = sys.Spawn(name, churnProg(2), Interactive())
 		}
 		if err == nil {
 			spawned++
+			handles = append(handles, th)
+		}
+		if err := checkIdentity(sys, handles); err != nil {
+			t.Fatal(err)
 		}
 	})
 	sys.Run(5 * time.Second)
-	sample()
 
 	if spawned < 300 {
 		t.Fatalf("storm only spawned %d threads", spawned)
@@ -82,11 +85,16 @@ func TestChurnPoolNonLeak(t *testing.T) {
 	if peak >= spawned/4 {
 		t.Fatalf("peak live %d too close to total spawned %d for the bound to mean anything", peak, spawned)
 	}
-	if free := sys.kern.FreeThreads(); free > peak {
-		t.Errorf("kernel free list holds %d threads, exceeds peak live %d: exits are leaking objects", free, peak)
+	// Every carved slot is live or on the free list, so this bounds the
+	// free list too.
+	if n := sys.kern.Slots(); n > peak {
+		t.Errorf("kernel carved %d thread slots, exceeds peak live %d: exited slots are not reissued", n, peak)
 	}
-	if n := len(sys.byKern); n > peak {
-		t.Errorf("byKern still indexes %d threads, exceeds peak live %d: retired handles are leaking", n, peak)
+	if n := sys.reg.Slots(); n > peak {
+		t.Errorf("progress slot table holds %d slots, exceeds peak live %d", n, peak)
+	}
+	if n := sys.ctl.Slots(); n > peak {
+		t.Errorf("controller slot table holds %d slots, exceeds peak live %d", n, peak)
 	}
 }
 
@@ -134,6 +142,9 @@ func runChurnSchedule(t *testing.T, data []byte, pooled bool) []byte {
 		}
 	})
 	sys.Run(time.Duration(len(data)+8) * 5 * time.Millisecond)
+	if err := checkIdentity(sys, spawned); err != nil {
+		t.Fatalf("pooled=%v: %v", pooled, err)
+	}
 	var buf bytes.Buffer
 	if err := tr.WriteCSV(&buf); err != nil {
 		t.Fatal(err)

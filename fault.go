@@ -191,11 +191,11 @@ func (s *System) fireInjected(ev faults.Event) {
 	}
 }
 
-// threadByName finds a live public handle by thread name. Only the rare
-// event paths use it; the hot paths stay on the byKern map.
+// threadByName returns the first live handle of that name in the kernel's
+// thread list, so the answer is deterministic. Only fault events use it.
 func (s *System) threadByName(name string) *Thread {
-	for _, th := range s.byKern {
-		if th.t.Name() == name {
+	for _, t := range s.kern.Threads() {
+		if th := handleOf(t); th != nil && t.Name() == name {
 			return th
 		}
 	}
@@ -215,7 +215,7 @@ func (s *System) fireFault(f core.Fault) {
 		Err:    f.Err,
 	}
 	if f.Job != nil {
-		ev.Thread = s.byKern[f.Job.Thread()]
+		ev.Thread = handleOf(f.Job.Thread())
 	}
 	for _, o := range s.hub.obs {
 		o.OnFault(ev)
@@ -229,7 +229,7 @@ func (s *System) fireDegrade(d core.Degradation) {
 	}
 	ev := DegradeEvent{
 		Time:   time.Duration(d.Time),
-		Thread: s.byKern[d.Job.Thread()],
+		Thread: handleOf(d.Job.Thread()),
 		From:   d.From.String(),
 		To:     d.To.String(),
 		Reason: d.Reason,
@@ -246,7 +246,7 @@ func (s *System) fireRecover(d core.Degradation) {
 	}
 	ev := RecoverEvent{
 		Time:   time.Duration(d.Time),
-		Thread: s.byKern[d.Job.Thread()],
+		Thread: handleOf(d.Job.Thread()),
 		From:   d.From.String(),
 		To:     d.To.String(),
 	}

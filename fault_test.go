@@ -153,3 +153,46 @@ func TestFaultPlanZeroWhenUnused(t *testing.T) {
 		t.Fatalf("healthy run reported non-zero health: %+v", h)
 	}
 }
+
+// TestFaultTargetResolvesDeterministically pins which handle a fault aimed
+// at a shared thread name reports: with two live threads named "w", every
+// fresh system must resolve the injection to the same one.
+func TestFaultTargetResolvesDeterministically(t *testing.T) {
+	first := -1
+	for run := 0; run < 20; run++ {
+		sys := realrate.NewSystem(realrate.Config{
+			Faults: &realrate.FaultPlan{Seed: 3, Specs: []realrate.FaultSpec{
+				{Kind: realrate.FaultFreezeSignal, Target: "w", At: 50 * time.Millisecond, For: 50 * time.Millisecond},
+			}},
+		})
+		obs := &ladderObserver{}
+		sys.Observe(obs)
+		var ws [2]*realrate.Thread
+		for i := range ws {
+			th, err := sys.Spawn("w", realrate.HogProgram(400_000),
+				realrate.RealRate(10*time.Millisecond, wavySource{}))
+			if err != nil {
+				t.Fatal(err)
+			}
+			ws[i] = th
+		}
+		sys.Run(150 * time.Millisecond)
+		if len(obs.faults) == 0 || obs.faults[0].Kind != "freeze-signal" {
+			t.Fatalf("run %d: fault events = %+v, want a freeze-signal injection first", run, obs.faults)
+		}
+		got := -1
+		for i, th := range ws {
+			if obs.faults[0].Thread == th {
+				got = i
+			}
+		}
+		if got < 0 {
+			t.Fatalf("run %d: injection resolved to %v, neither live thread named w", run, obs.faults[0].Thread)
+		}
+		if run == 0 {
+			first = got
+		} else if got != first {
+			t.Fatalf("run %d resolved the fault to thread %d, run 0 to thread %d", run, got, first)
+		}
+	}
+}

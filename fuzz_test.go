@@ -72,8 +72,8 @@ func TestExitUnregistersProgressUnderBaseline(t *testing.T) {
 	if sys.reg.HasMetrics(th.t) {
 		t.Fatal("exited thread leaked its progress registration (no controller to tear it down)")
 	}
-	if _, ok := sys.byKern[th.t]; ok {
-		t.Fatal("exited thread leaked its byKern entry")
+	if err := checkIdentity(sys, []*Thread{th}); err != nil {
+		t.Fatal(err)
 	}
 }
 
@@ -81,8 +81,9 @@ func TestExitUnregistersProgressUnderBaseline(t *testing.T) {
 // policy and asserts the error-vs-retire consistency contract: a Spawn
 // that returns an error must leave no trace — the kernel thread it may
 // have created is fully retired (Kernel.Retire), never runs, keeps no
-// progress registration, and is absent from the public index — while a
-// successful Spawn yields a live, indexed, schedulable thread.
+// progress registration, and carries no handle — while a successful
+// Spawn yields a live, schedulable thread whose kernel thread names it.
+// Every spawn ends with the identity oracle (checkIdentity).
 func FuzzSpawnOptions(f *testing.F) {
 	f.Add([]byte{2, 0, 50, 1, 10})             // reserve + aperiodic conflict
 	f.Add([]byte{1, 2, 0, 3, 0, 7, 0})         // real-rate; no-source; injob
@@ -112,6 +113,7 @@ func FuzzSpawnOptions(f *testing.F) {
 
 		type rejected struct{ th *kernel.Thread }
 		var rejects []rejected
+		handles := []*Thread{lead}
 		for len(data) >= 3 {
 			var opts []SpawnOption
 			opts, data = decodeSpawnOptions(data, sys, q, lead)
@@ -123,26 +125,27 @@ func FuzzSpawnOptions(f *testing.F) {
 					t.Fatalf("Spawn returned both a handle and an error: %v", err)
 				}
 				// Error-vs-retire consistency: anything created on the way
-				// to the error is exited, unindexed, and unregistered.
+				// to the error is exited, handle-free, and unregistered.
 				for _, kt := range created {
 					if kt.State() != kernel.StateExited {
 						t.Fatalf("rejected spawn left thread in state %v (opts error: %v)", kt.State(), err)
 					}
-					if _, ok := sys.byKern[kt]; ok {
-						t.Fatalf("rejected spawn left a stale byKern entry (opts error: %v)", err)
+					if kt.User != nil {
+						t.Fatalf("rejected spawn left a handle in its kernel thread (opts error: %v)", err)
 					}
 					if sys.reg.HasMetrics(kt) {
 						t.Fatalf("rejected spawn left progress metrics registered (opts error: %v)", err)
 					}
 					rejects = append(rejects, rejected{kt})
 				}
-				continue
+			} else {
+				if th.State() == "exited" {
+					t.Fatal("successful spawn returned an exited thread")
+				}
+				handles = append(handles, th)
 			}
-			if th.State() == "exited" {
-				t.Fatal("successful spawn returned an exited thread")
-			}
-			if sys.byKern[th.t] != th {
-				t.Fatal("successful spawn not indexed")
+			if err := checkIdentity(sys, handles); err != nil {
+				t.Fatal(err)
 			}
 		}
 
@@ -158,10 +161,8 @@ func FuzzSpawnOptions(f *testing.F) {
 			}
 		}
 		// Exit bookkeeping stays closed: live public handles only.
-		for kt, th := range sys.byKern {
-			if kt.State() == kernel.StateExited {
-				t.Fatalf("stale byKern entry for exited thread %s", th.Name())
-			}
+		if err := checkIdentity(sys, handles); err != nil {
+			t.Fatal(err)
 		}
 	})
 }

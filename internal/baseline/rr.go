@@ -22,8 +22,9 @@ type RoundRobin struct {
 	k        *kernel.Kernel
 	quantum  sim.Duration
 	runnable [][]*kernel.Thread
-	used     map[*kernel.Thread]sim.Duration
 }
+
+func rrUsed(t *kernel.Thread) *sim.Duration { return t.Sched.(*sim.Duration) }
 
 // NewRoundRobin returns a round-robin policy with the given quantum. A
 // non-positive quantum defaults to 10ms.
@@ -31,7 +32,7 @@ func NewRoundRobin(quantum sim.Duration) *RoundRobin {
 	if quantum <= 0 {
 		quantum = 10 * sim.Millisecond
 	}
-	return &RoundRobin{quantum: quantum, used: make(map[*kernel.Thread]sim.Duration)}
+	return &RoundRobin{quantum: quantum}
 }
 
 // Name implements kernel.Policy.
@@ -44,12 +45,10 @@ func (p *RoundRobin) Attach(k *kernel.Kernel) {
 }
 
 // AddThread implements kernel.Policy.
-func (p *RoundRobin) AddThread(t *kernel.Thread, now sim.Time) {}
+func (p *RoundRobin) AddThread(t *kernel.Thread, now sim.Time) { t.Sched = new(sim.Duration) }
 
 // RemoveThread implements kernel.Policy.
-func (p *RoundRobin) RemoveThread(t *kernel.Thread, now sim.Time) {
-	delete(p.used, t)
-}
+func (p *RoundRobin) RemoveThread(t *kernel.Thread, now sim.Time) {}
 
 // Enqueue implements kernel.Policy.
 func (p *RoundRobin) Enqueue(t *kernel.Thread, now sim.Time) {
@@ -96,7 +95,7 @@ func (p *RoundRobin) Steal(from int, now sim.Time) *kernel.Thread {
 
 // TimeSlice implements kernel.Policy.
 func (p *RoundRobin) TimeSlice(t *kernel.Thread, now sim.Time) sim.Duration {
-	rem := p.quantum - p.used[t]
+	rem := p.quantum - *rrUsed(t)
 	if rem < 0 {
 		rem = 0
 	}
@@ -106,9 +105,9 @@ func (p *RoundRobin) TimeSlice(t *kernel.Thread, now sim.Time) sim.Duration {
 // Charge implements kernel.Policy: quantum exhaustion rotates the thread to
 // the back of its CPU's queue.
 func (p *RoundRobin) Charge(t *kernel.Thread, cpu int, ran sim.Duration, now sim.Time) bool {
-	p.used[t] += ran
-	if p.used[t] >= p.quantum {
-		p.used[t] = 0
+	u := rrUsed(t)
+	if *u += ran; *u >= p.quantum {
+		*u = 0
 		p.rotate(t)
 		return true
 	}

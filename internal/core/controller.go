@@ -21,6 +21,7 @@ package core
 import (
 	"fmt"
 	"math"
+	"slices"
 
 	"repro/internal/kernel"
 	"repro/internal/metrics"
@@ -204,8 +205,12 @@ type Controller struct {
 	policy *rbs.Policy
 	reg    *progress.Registry
 
+	// jobs lists the controlled jobs in registration order; Remove leaves
+	// a nil hole at Job.idx, closed once holes make up half the list.
+	// byThr maps each member thread's slot to its job.
 	jobs  []*Job
-	byThr map[*kernel.Thread]*Job
+	holes int
+	byThr kernel.SlotTable[*Job]
 
 	// shards split the job set; each is one simulated control thread
 	// (see plane.go). epoch counts control epochs opened so far, and
@@ -400,7 +405,6 @@ func New(kern *kernel.Kernel, policy *rbs.Policy, reg *progress.Registry, cfg Co
 		kern:               kern,
 		policy:             policy,
 		reg:                reg,
-		byThr:              make(map[*kernel.Thread]*Job),
 		ncpu:               ncpu,
 		ceiling:            cfg.OverloadThreshold * ncpu,
 		effectiveThreshold: cfg.OverloadThreshold * ncpu,
@@ -427,13 +431,19 @@ func (c *Controller) Config() Config { return c.cfg }
 func (c *Controller) SetRecycle(on bool) { c.recycle = on }
 
 // Jobs returns the controlled jobs in registration order.
-func (c *Controller) Jobs() []*Job { return c.jobs }
+func (c *Controller) Jobs() []*Job {
+	c.compactJobs()
+	return c.jobs
+}
 
 // JobOf returns the job controlling t, if any.
 func (c *Controller) JobOf(t *kernel.Thread) (*Job, bool) {
-	j, ok := c.byThr[t]
-	return j, ok
+	j := c.byThr.At(t)
+	return j, j != nil
 }
+
+// Slots returns the length of the controller's per-thread slot table.
+func (c *Controller) Slots() int { return len(c.byThr) }
 
 // Steps returns the number of control epochs opened so far.
 func (c *Controller) Steps() uint64 { return uint64(c.epoch) }
@@ -576,7 +586,7 @@ func (c *Controller) planeStalled() bool {
 func (c *Controller) Health() Health {
 	h := c.health
 	for _, j := range c.jobs {
-		if j.degraded != LevelRealRate {
+		if j != nil && j.degraded != LevelRealRate {
 			h.JobsDegraded++
 		}
 	}
@@ -723,11 +733,11 @@ func (c *Controller) Renegotiate(j *Job, proportion int) error {
 // allocation is shared (split evenly) across its members, its progress is
 // the sum of its members' metrics, and its usage is their combined CPU.
 func (c *Controller) AddMember(j *Job, t *kernel.Thread) {
-	if _, dup := c.byThr[t]; dup {
+	if c.byThr.At(t) != nil {
 		panic(fmt.Sprintf("core: thread %v already controlled", t))
 	}
 	j.members = append(j.members, t)
-	c.byThr[t] = j
+	c.byThr.Set(t, j)
 	j.lastCPU = j.cpuTime()
 	j.cpuBlockMark = j.cpuTime()
 	j.lastBlocked = j.blockedCount()
@@ -747,18 +757,12 @@ func (c *Controller) SetImportance(j *Job, w float64) {
 // after its last member exited) is a no-op, so the incremental admission
 // accounting cannot be corrupted by a double Remove.
 func (c *Controller) Remove(j *Job) {
-	found := false
-	for i, other := range c.jobs {
-		if other == j {
-			copy(c.jobs[i:], c.jobs[i+1:])
-			c.jobs[len(c.jobs)-1] = nil // clear the vacated tail slot
-			c.jobs = c.jobs[:len(c.jobs)-1]
-			found = true
-			break
-		}
-	}
-	if !found {
+	if j.idx < 0 || j.idx >= len(c.jobs) || c.jobs[j.idx] != j {
 		return
+	}
+	c.jobs[j.idx], j.idx = nil, -1
+	if c.holes++; 2*c.holes >= len(c.jobs) {
+		c.compactJobs()
 	}
 	if j.class == RealTime || j.class == AperiodicRealTime {
 		c.admitted -= j.specified
@@ -767,7 +771,7 @@ func (c *Controller) Remove(j *Job) {
 		c.adaptive--
 	}
 	for _, t := range j.members {
-		delete(c.byThr, t)
+		c.byThr.Set(t, nil)
 		c.policy.Unregister(t)
 		c.reg.Unregister(t)
 	}
@@ -786,11 +790,11 @@ func (c *Controller) Remove(j *Job) {
 // before the next epoch, and every stale *kernel.Thread reference must be
 // gone by then. Unknown threads are ignored.
 func (c *Controller) ThreadExited(t *kernel.Thread, now sim.Time) {
-	j, ok := c.byThr[t]
-	if !ok {
+	j := c.byThr.At(t)
+	if j == nil {
 		return
 	}
-	delete(c.byThr, t)
+	c.byThr.Set(t, nil)
 	c.policy.Unregister(t)
 	c.reg.Unregister(t)
 	for i, m := range j.members {
@@ -870,8 +874,18 @@ func (c *Controller) flushRetired() {
 	c.retired = c.retired[:0]
 }
 
+// compactJobs closes the nil holes Remove left in c.jobs, keeping the
+// registration order shedOne's oldest-first tie-break reads.
+func (c *Controller) compactJobs() {
+	c.jobs = slices.DeleteFunc(c.jobs, func(j *Job) bool { return j == nil })
+	for i, j := range c.jobs {
+		j.idx = i
+	}
+	c.holes = 0
+}
+
 func (c *Controller) addJob(t *kernel.Thread, class Class) *Job {
-	if _, dup := c.byThr[t]; dup {
+	if c.byThr.At(t) != nil {
 		panic(fmt.Sprintf("core: thread %v already controlled", t))
 	}
 	j := c.allocJob()
@@ -895,8 +909,9 @@ func (c *Controller) addJob(t *kernel.Thread, class Class) *Job {
 		// state within memory reach (the 1M-job admission soak).
 		j.g = c.allocPID()
 	}
+	j.idx = len(c.jobs)
 	c.jobs = append(c.jobs, j)
-	c.byThr[t] = j
+	c.byThr.Set(t, j)
 	if class.Adaptive() {
 		c.adaptive++
 	}
@@ -969,7 +984,7 @@ func (c *Controller) prologue(now sim.Time) {
 		pend := c.delayed
 		c.delayed = nil
 		for _, d := range pend {
-			if c.byThr[d.job.thread] != d.job {
+			if c.byThr.At(d.job.thread) != d.job {
 				continue // job torn down while the actuation was in flight
 			}
 			c.apply(d.job, d.prop, d.period)
@@ -1115,7 +1130,7 @@ func (c *Controller) governorObserve(now sim.Time, desired, granted int) {
 func (c *Controller) shedOne(now sim.Time) bool {
 	var victim *Job
 	for _, j := range c.jobs {
-		if j.class != Miscellaneous {
+		if j == nil || j.class != Miscellaneous {
 			continue
 		}
 		live := false

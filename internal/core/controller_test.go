@@ -458,3 +458,59 @@ func TestSMPCapacityGeneralization(t *testing.T) {
 		t.Fatalf("effective threshold %d exceeds the scaled ceiling %d", got, 900*4)
 	}
 }
+
+// TestRemoveKeepsRegistrationOrder pins Remove's contract: removed jobs
+// leave Jobs() without disturbing the registration order the shed rung's
+// tie-break reads, their threads leave JobOf, and a second Remove of the
+// same job is a no-op for the admission accounting.
+func TestRemoveKeepsRegistrationOrder(t *testing.T) {
+	r := newRig(core.Config{})
+	idle := kernel.ProgramFunc(func(*kernel.Thread, sim.Time) kernel.Op {
+		return kernel.OpSleep{D: 50 * sim.Millisecond}
+	})
+	var ths []*kernel.Thread
+	var jobs []*core.Job
+	for i := 0; i < 6; i++ {
+		th := r.kern.Spawn("j", idle)
+		ths = append(ths, th)
+		if i == 0 {
+			j, err := r.ctl.AddRealTime(th, 100, 10*sim.Millisecond)
+			if err != nil {
+				t.Fatal(err)
+			}
+			jobs = append(jobs, j)
+			continue
+		}
+		jobs = append(jobs, r.ctl.AddMiscellaneous(th))
+	}
+	r.ctl.Remove(jobs[1])
+	r.ctl.Remove(jobs[3])
+	want := []*core.Job{jobs[0], jobs[2], jobs[4], jobs[5]}
+	if got := r.ctl.Jobs(); len(got) != len(want) {
+		t.Fatalf("Jobs() has %d jobs, want %d", len(got), len(want))
+	} else {
+		for i := range want {
+			if got[i] != want[i] {
+				t.Fatalf("Jobs()[%d] is not the job registered %d-th", i, i)
+			}
+		}
+	}
+	if _, ok := r.ctl.JobOf(ths[3]); ok {
+		t.Fatal("removed job still maps its thread")
+	}
+	r.ctl.Remove(jobs[0])
+	r.ctl.Remove(jobs[0])
+	r.ctl.Remove(jobs[3])
+	// 900 ppt ceiling − 3 misc floors of 5 (the unstarted controller
+	// holds no reservation of its own).
+	extra := r.kern.Spawn("extra", idle)
+	if _, err := r.ctl.AddRealTime(extra, 886, 10*sim.Millisecond); err == nil {
+		t.Fatal("admitted 886 ppt: a repeated Remove freed the reservation twice")
+	}
+	if _, err := r.ctl.AddRealTime(extra, 885, 10*sim.Millisecond); err != nil {
+		t.Fatalf("885 ppt refused after the removals: %v", err)
+	}
+	if got := r.ctl.Jobs(); len(got) != 4 || got[0] != jobs[2] || got[3].Thread() != extra {
+		t.Fatalf("Jobs() after compaction and a new admission is out of order")
+	}
+}

@@ -178,6 +178,8 @@ type Job struct {
 	// stats
 	actuations uint64
 
+	// idx is the job's index in Controller.jobs, −1 once removed.
+	idx int
 	// freeNext links the object into the controller's free list while
 	// pooled (recycle mode only).
 	freeNext *Job

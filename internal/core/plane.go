@@ -183,7 +183,7 @@ func (c *Controller) rehome(j *Job, home int) {
 // markDirty is the registry's dirty hook in event-driven mode: a watched
 // metric of one of the thread's job's signals moved.
 func (c *Controller) markDirty(t *kernel.Thread) {
-	if j := c.byThr[t]; j != nil {
+	if j := c.byThr.At(t); j != nil {
 		j.dirty = true
 	}
 }

@@ -155,6 +155,8 @@ type Kernel struct {
 	// fresh zeroed threads out of it so an admission storm costs one
 	// allocation per chunk instead of one per thread.
 	thrSlab []Thread
+	// slots counts the thread objects carved so far (see Slots).
+	slots uint32
 	// queueSlab backs NewQueue the same way: session-pipeline storms
 	// create queues in the tens of thousands.
 	queueSlab []Queue
@@ -318,18 +320,9 @@ func (k *Kernel) Threads() []*Thread { return k.threads }
 // behavior: exited threads stay reachable forever.
 func (k *Kernel) SetRecycle(on bool) { k.recycle = on }
 
-// FreeThreads returns the current depth of the recycled-thread pool — the
-// number of exited thread objects banked for reissue. Exposed so leak
-// tests can assert the pool is bounded by the peak live population (a
-// free list that outgrows peak-live means something is retiring objects
-// it never owned).
-func (k *Kernel) FreeThreads() int {
-	n := 0
-	for t := k.freeThread; t != nil; t = t.freeNext {
-		n++
-	}
-	return n
-}
+// Slots returns how many thread objects the kernel has carved, one past the
+// largest Thread.Slot: with recycling, the peak of objects held at once.
+func (k *Kernel) Slots() int { return int(k.slots) }
 
 // Stats returns a snapshot of machine-level accounting. Elapsed is measured
 // from kernel creation; Idle includes partial in-progress idle spans and is
@@ -606,7 +599,6 @@ func (k *Kernel) dispatch(c *cpu, now sim.Time) {
 			k.overheadOn(c, k.cfg.SwitchCost)
 		}
 		c.lastRan = t
-		t.dispatched++
 		k.startRun(c, t, now)
 		return
 	}
@@ -897,7 +889,6 @@ func (k *Kernel) chargeSegment(c *cpu, now sim.Time) {
 	}
 	if ran > 0 {
 		t.cpuTime += ran
-		t.runSinceBlock += ran
 		burned := sim.DurationToCycles(ran, k.cfg.ClockRate)
 		if burned >= t.remaining {
 			t.remaining = 0
@@ -943,7 +934,6 @@ func (k *Kernel) segmentEnd(c *cpu, now sim.Time) {
 func (k *Kernel) block(t *Thread, wq *WaitQueue, now sim.Time) {
 	t.state = StateBlocked
 	t.blockedCount++
-	t.runSinceBlock = 0
 	t.waitingOn = wq
 	wq.push(t)
 	if k.tracer != nil {
@@ -958,7 +948,6 @@ func (k *Kernel) block(t *Thread, wq *WaitQueue, now sim.Time) {
 // sleepUntil parks t until the first tick at or after deadline.
 func (k *Kernel) sleepUntil(t *Thread, deadline, now sim.Time) {
 	t.state = StateSleeping
-	t.runSinceBlock = 0
 	k.policy.Dequeue(t, now)
 	t.wakeTimer = k.addWakeTimer(t, deadline)
 	if c := &k.cpus[t.cpu]; c.current == t {
@@ -1109,6 +1098,8 @@ func (k *Kernel) allocThread() *Thread {
 	}
 	t := &k.thrSlab[0]
 	k.thrSlab = k.thrSlab[1:]
+	t.slot = k.slots
+	k.slots++
 	return t
 }
 
@@ -1149,13 +1140,13 @@ func (k *Kernel) recycleThread(t *Thread) {
 	}
 	k.threads[last] = nil
 	k.threads = k.threads[:last]
-	// Scrub every field. The generation bump is what turns a retained
-	// stale reference into a deterministic panic at the public layer
-	// instead of silent corruption; state stays Exited so raw pointer
-	// holders that poll State() keep reading a retired thread until the
-	// slot is reissued.
+	// Scrub every field but the slot. The generation bump is what turns
+	// a retained stale reference into a deterministic panic at the public
+	// layer instead of silent corruption; state stays Exited so raw
+	// pointer holders that poll State() keep reading a retired thread
+	// until the slot is reissued.
 	gen := t.gen + 1
-	*t = Thread{gen: gen, state: StateExited}
+	*t = Thread{gen: gen, slot: t.slot, state: StateExited}
 	t.freeNext = k.freeThread
 	k.freeThread = t
 }

@@ -70,19 +70,16 @@ type Thread struct {
 
 	// cpuTime is the total simulated CPU the thread has consumed.
 	cpuTime sim.Duration
-	// dispatched counts how many run segments the thread received.
-	dispatched uint64
 	// blockedCount counts voluntary blocks (queue/mutex/waitq).
 	blockedCount uint64
-	// lastRunStart supports burst-length measurement for the interactive
-	// heuristic: time the thread last went Running after a block.
-	runSinceBlock sim.Duration
 
 	// gen is the slot's generation: incremented when the thread object is
 	// recycled into the kernel's free pool, so any holder of a stale
 	// reference can detect that the slot now belongs to a stranger. It is
 	// 0 for the object's first occupant and survives field resets.
 	gen uint32
+	// slot is the object's dense index, fixed at carve (see Slot).
+	slot uint32
 	// listIdx is the thread's index in Kernel.threads, maintained so a
 	// recycling kernel can swap-remove an exited thread in O(1).
 	listIdx int
@@ -97,8 +94,8 @@ type Thread struct {
 	// Sched is the policy's per-thread state; the kernel never touches it.
 	Sched any
 	// User is the embedding layer's per-thread state (the public package
-	// stores its handle here so tracer-driven taps skip the map
-	// translation); the kernel never touches it.
+	// stores its handle here, so every kernel-thread-to-handle lookup is
+	// one field read); the kernel only clears it when recycling.
 	User any
 }
 
@@ -110,6 +107,11 @@ func (t *Thread) ID() int { return t.id }
 // the generation at spawn can detect use-after-retire of a recycled slot
 // deterministically: saved != current means the slot was reissued.
 func (t *Thread) Gen() uint32 { return t.gen }
+
+// Slot returns the object's dense index in [0, Kernel.Slots()), assigned
+// when the kernel carves the object and kept when it is recycled: Slot and
+// Gen name one life of one slot, and SlotTable indexes by it.
+func (t *Thread) Slot() uint32 { return t.slot }
 
 // CPU returns the CPU the thread is currently assigned to.
 func (t *Thread) CPU() int { return t.cpu }
@@ -129,21 +131,8 @@ func (t *Thread) State() State { return t.state }
 // CPUTime returns the total simulated CPU time the thread has consumed.
 func (t *Thread) CPUTime() sim.Duration { return t.cpuTime }
 
-// CPUCycles returns the total simulated cycles the thread has consumed.
-func (t *Thread) CPUCycles() sim.Cycles {
-	return sim.DurationToCycles(t.cpuTime, t.kern.cfg.ClockRate)
-}
-
-// Dispatched returns the number of run segments the thread has received.
-func (t *Thread) Dispatched() uint64 { return t.dispatched }
-
 // BlockedCount returns the number of times the thread voluntarily blocked.
 func (t *Thread) BlockedCount() uint64 { return t.blockedCount }
-
-// RunSinceBlock returns the CPU time consumed since the thread last blocked
-// voluntarily. The controller's interactive heuristic estimates proportion
-// from "the amount of time they typically run before blocking" (§1).
-func (t *Thread) RunSinceBlock() sim.Duration { return t.runSinceBlock }
 
 // Runnable reports whether the thread is ready or running.
 func (t *Thread) Runnable() bool {

@@ -2,6 +2,7 @@ package metrics
 
 import (
 	"math"
+	"sort"
 	"strings"
 	"testing"
 	"testing/quick"
@@ -172,6 +173,62 @@ func TestPercentile(t *testing.T) {
 	}
 	if p := Percentile(vs, 50); math.Abs(p-5.5) > 1e-12 {
 		t.Fatalf("P50 = %v", p)
+	}
+}
+
+// refPercentile is the closest-ranks interpolation written out from
+// scratch: copy, sort, interpolate.
+func refPercentile(vs []float64, p float64) float64 {
+	s := append([]float64(nil), vs...)
+	sort.Float64s(s)
+	switch {
+	case len(s) == 0:
+		return 0
+	case p <= 0:
+		return s[0]
+	case p >= 100:
+		return s[len(s)-1]
+	}
+	rank := p / 100 * float64(len(s)-1)
+	lo, hi := int(math.Floor(rank)), int(math.Ceil(rank))
+	if lo == hi {
+		return s[lo]
+	}
+	frac := rank - float64(lo)
+	return s[lo]*(1-frac) + s[hi]*frac
+}
+
+// TestPercentileSortedMatchesPercentile: on random reservoirs (duplicates
+// and single samples included), sorting once and reading P50/P99/P999
+// with PercentileSorted gives bit-identical results to Percentile and to
+// the from-scratch reference.
+func TestPercentileSortedMatchesPercentile(t *testing.T) {
+	rng := sim.NewRNG(42)
+	for _, n := range []int{0, 1, 2, 3, 10, 99, 100, 256, 511, 512, 4096} {
+		vs := make([]float64, n)
+		for i := range vs {
+			vs[i] = float64(rng.Intn(5000)) * rng.Float64() / 1000
+			if i%7 == 3 && i > 0 {
+				vs[i] = vs[i-1] // duplicates
+			}
+		}
+		orig := append([]float64(nil), vs...)
+		sorted := append([]float64(nil), vs...)
+		sort.Float64s(sorted)
+		for _, p := range []float64{0, 50, 99, 99.9, 100} {
+			want := refPercentile(vs, p)
+			if got := Percentile(vs, p); math.Float64bits(got) != math.Float64bits(want) {
+				t.Fatalf("n=%d P%v: Percentile %v, reference %v", n, p, got, want)
+			}
+			if got := PercentileSorted(sorted, p); math.Float64bits(got) != math.Float64bits(want) {
+				t.Fatalf("n=%d P%v: PercentileSorted %v, reference %v", n, p, got, want)
+			}
+		}
+		for i := range vs {
+			if math.Float64bits(vs[i]) != math.Float64bits(orig[i]) {
+				t.Fatalf("n=%d: Percentile reordered its input", n)
+			}
+		}
 	}
 }
 

@@ -37,12 +37,18 @@ func StdDev(vs []float64) float64 { return math.Sqrt(Variance(vs)) }
 // Percentile returns the p'th percentile (0..100) of vs using linear
 // interpolation between closest ranks. It copies vs before sorting.
 func Percentile(vs []float64, p float64) float64 {
-	if len(vs) == 0 {
-		return 0
-	}
 	sorted := make([]float64, len(vs))
 	copy(sorted, vs)
 	sort.Float64s(sorted)
+	return PercentileSorted(sorted, p)
+}
+
+// PercentileSorted is Percentile of an already ascending-sorted sample, so
+// a caller reading several percentiles of one sample sorts it once.
+func PercentileSorted(sorted []float64, p float64) float64 {
+	if len(sorted) == 0 {
+		return 0
+	}
 	if p <= 0 {
 		return sorted[0]
 	}

@@ -179,13 +179,10 @@ func (v *VirtualQueue) Describe() string {
 // Registry is the kernel-side table the meta-interface system call fills
 // in: which queues (or other metrics) each thread's progress is linked to.
 type Registry struct {
-	entries map[*kernel.Thread][]Metric
-
-	// freeEnts recycles the per-thread metric slices across
-	// register/unregister churn: an open-loop storm registering one
-	// source per session would otherwise allocate a fresh slice per
-	// admission forever. Slices are scrubbed before reuse.
-	freeEnts [][]Metric
+	// entries holds each thread's metrics by kernel slot. Unregister
+	// empties the slice in place for the slot's next occupant to reuse, so
+	// a session storm allocates no slice per admission.
+	entries kernel.SlotTable[[]Metric]
 
 	// qmBoxed interns the boxed interface value for each (queue, role)
 	// pair, so re-registering a recycled queue does not re-box the same
@@ -205,24 +202,20 @@ type Registry struct {
 }
 
 // NewRegistry returns an empty registry.
-func NewRegistry() *Registry {
-	return &Registry{entries: make(map[*kernel.Thread][]Metric)}
-}
+func NewRegistry() *Registry { return &Registry{} }
+
+// Slots returns the length of the registry's per-thread slot table.
+func (r *Registry) Slots() int { return len(r.entries) }
 
 // SetDirtyHook installs the dirty-signal callback: fn is invoked with the
 // owning thread whenever one of its watchable metrics reports a change.
-// Metrics registered before the hook is installed are wired up too, so
-// installation order does not matter. The hook cannot be removed.
+// Install it before the first Register, as the controller does: later it
+// panics, since earlier metrics would go unwatched. It cannot be removed.
 func (r *Registry) SetDirtyHook(fn func(t *kernel.Thread)) {
+	if len(r.entries) > 0 {
+		panic("progress: SetDirtyHook after the first Register")
+	}
 	r.dirty = fn
-	if fn == nil {
-		return
-	}
-	for t, ms := range r.entries {
-		for _, m := range ms {
-			r.watch(t, m)
-		}
-	}
 }
 
 // watch attaches the dirty hook to one metric if it is watchable. The
@@ -273,7 +266,7 @@ func (w *queueWatcher) QueueChanged() {
 // i.e. whether the dirty hook sees all of t's signal changes. Jobs with
 // any unwatchable metric must be re-sampled on the staleness bound alone.
 func (r *Registry) Watched(t *kernel.Thread) bool {
-	ms := r.entries[t]
+	ms := r.entries.At(t)
 	if len(ms) == 0 {
 		return false
 	}
@@ -289,12 +282,7 @@ func (r *Registry) Watched(t *kernel.Thread) bool {
 // metrics (a pipeline stage is consumer of one queue and producer of the
 // next); their pressures sum per Figure 3.
 func (r *Registry) Register(t *kernel.Thread, m Metric) {
-	ms, ok := r.entries[t]
-	if !ok && len(r.freeEnts) > 0 {
-		ms = r.freeEnts[len(r.freeEnts)-1]
-		r.freeEnts = r.freeEnts[:len(r.freeEnts)-1]
-	}
-	r.entries[t] = append(ms, m)
+	r.entries.Set(t, append(r.entries.At(t), m))
 	if r.dirty != nil {
 		r.watch(t, m)
 	}
@@ -315,33 +303,19 @@ func (r *Registry) RegisterQueue(t *kernel.Thread, q *kernel.Queue, role Role) {
 }
 
 // Unregister removes all linkage for a thread (e.g. on exit). The
-// thread's metric slice is scrubbed and kept for reuse by a later
-// Register.
+// thread's metric slice is scrubbed and emptied in place, for the slot's
+// next occupant to reuse.
 func (r *Registry) Unregister(t *kernel.Thread) {
-	ms, ok := r.entries[t]
-	if !ok {
-		return
+	if ms := r.entries.At(t); len(ms) > 0 {
+		clear(ms)
+		r.entries.Set(t, ms[:0])
 	}
-	delete(r.entries, t)
-	if cap(ms) == 0 {
-		return
-	}
-	ms = ms[:cap(ms)]
-	for i := range ms {
-		ms[i] = nil
-	}
-	r.freeEnts = append(r.freeEnts, ms[:0])
 }
 
 // HasMetrics reports whether t supplied any progress metric — the
 // controller's real-rate versus miscellaneous classification hinges on it.
 func (r *Registry) HasMetrics(t *kernel.Thread) bool {
-	return len(r.entries[t]) > 0
-}
-
-// Metrics returns the metrics registered for t.
-func (r *Registry) Metrics(t *kernel.Thread) []Metric {
-	return r.entries[t]
+	return len(r.entries.At(t)) > 0
 }
 
 // SummedPressure computes Σ_i R·F for thread t, clamped to [−½, ½] so a
@@ -350,7 +324,7 @@ func (r *Registry) Metrics(t *kernel.Thread) []Metric {
 // and ½".
 func (r *Registry) SummedPressure(t *kernel.Thread, now sim.Time) float64 {
 	var sum float64
-	for _, m := range r.entries[t] {
+	for _, m := range r.entries.At(t) {
 		sum += m.Pressure(now)
 	}
 	if sum > 0.5 {

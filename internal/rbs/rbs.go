@@ -88,10 +88,7 @@ type state struct {
 	// perBudget caches res.Budget() so the per-period roll does no
 	// multiply/divide; SetReservation keeps it in sync.
 	perBudget sim.Duration
-	// totalGranted accumulates the budgets granted across periods, for the
-	// proportion-delivery property tests.
-	totalGranted sim.Duration
-	missed       uint64
+	missed    uint64
 
 	// seq reconstructs the legacy runnable-slice order: assigned when the
 	// thread enters the queue and reassigned on round-robin rotation, so
@@ -129,7 +126,7 @@ type state struct {
 	// (recycle mode only).
 	freeNext *state
 
-	_ [8]byte // pads the state to two cache lines on 64-bit hosts
+	_ [16]byte // pads the state to two cache lines on 64-bit hosts
 }
 
 // Policy is the reservation-based dispatcher.
@@ -302,7 +299,6 @@ func (p *Policy) SetReservation(t *kernel.Thread, res Reservation) error {
 		st.periodStart = now
 		st.budget = st.perBudget
 		st.used = 0
-		st.totalGranted += st.budget
 	} else {
 		if st.counted {
 			p.totalProp += res.Proportion - st.res.Proportion
@@ -353,24 +349,6 @@ func (p *Policy) Unregister(t *kernel.Thread) {
 	p.reconcile(t, st)
 }
 
-// UsedThisPeriod returns the CPU t consumed in its current period, zero
-// for a recycled (exited) thread.
-func (p *Policy) UsedThisPeriod(t *kernel.Thread) sim.Duration {
-	if st, ok := t.Sched.(*state); ok {
-		return st.used
-	}
-	return 0
-}
-
-// TotalGranted returns the cumulative budget ever granted to t, zero for a
-// recycled (exited) thread.
-func (p *Policy) TotalGranted(t *kernel.Thread) sim.Duration {
-	if st, ok := t.Sched.(*state); ok {
-		return st.totalGranted
-	}
-	return 0
-}
-
 // MissedDeadlines returns the count of periods that ended with a runnable
 // thread still holding unused budget — the dispatcher could not deliver the
 // allocation. The prototype notifies the controller of misses so it can
@@ -414,7 +392,6 @@ func (p *Policy) refresh(st *state, now sim.Time) {
 	st.periodStart = st.periodStart.Add(sim.Duration(k * int64(st.res.Period)))
 	st.budget = st.perBudget
 	st.used = 0
-	st.totalGranted += sim.Duration(k * int64(st.perBudget))
 }
 
 // roll is refresh plus structure maintenance: after the period rolls, the

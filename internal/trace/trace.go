@@ -103,18 +103,19 @@ type Recorder struct {
 	dropped int
 	threads map[string]*threadStats
 	// byThread caches the stats entry (and the interned name string) per
-	// thread pointer, so the per-event path is two map-free field reads.
+	// thread slot, so the per-event path is two map-free field reads.
 	// The generation guards against pooled slot reissue: a recycled thread
 	// object must re-resolve its name instead of inheriting the previous
 	// occupant's cache entry.
-	byThread map[*kernel.Thread]traceCache
+	byThread kernel.SlotTable[traceCache]
 	// rng drives reservoir replacement; fixed seed keeps runs replayable.
 	rng *sim.RNG
 }
 
-// traceCache is one entry of the pointer-keyed stats cache: valid only
-// while the thread object's generation still matches.
+// traceCache is one entry of the slot-indexed stats cache: valid only for
+// the thread object it was filled for, while its generation matches.
 type traceCache struct {
+	t   *kernel.Thread
 	st  *threadStats
 	gen uint32
 }
@@ -126,7 +127,6 @@ func NewRecorder() *Recorder {
 	return &Recorder{
 		MaxLatencySamples: 4096,
 		threads:           make(map[string]*threadStats),
-		byThread:          make(map[*kernel.Thread]traceCache),
 		rng:               sim.NewRNG(0x7ace5eed),
 	}
 }
@@ -143,7 +143,7 @@ func (r *Recorder) Reset() {
 
 func (r *Recorder) stats(t *kernel.Thread) *threadStats {
 	gen := t.Gen()
-	if c, ok := r.byThread[t]; ok && c.gen == gen {
+	if c := r.byThread.At(t); c.t == t && c.gen == gen {
 		return c.st
 	}
 	name := t.Name()
@@ -152,7 +152,7 @@ func (r *Recorder) stats(t *kernel.Thread) *threadStats {
 		st = &threadStats{name: name}
 		r.threads[name] = st
 	}
-	r.byThread[t] = traceCache{st: st, gen: gen}
+	r.byThread.Set(t, traceCache{t: t, st: st, gen: gen})
 	return st
 }
 

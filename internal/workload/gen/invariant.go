@@ -359,7 +359,8 @@ func (c *checker) OnMigration(now time.Duration, th *realrate.Thread, from, to i
 
 // OnActuation implements realrate.Observer. An actuation that cannot be
 // resolved to a public handle means the controller actuated a job whose
-// thread already retired (stale byKern or a missed exit-hook teardown).
+// thread already retired (the exit hook cleared the handle from the
+// kernel thread's User field but missed the controller teardown).
 func (c *checker) OnActuation(now time.Duration, th *realrate.Thread, prop int, period time.Duration) {
 	if prop < 0 {
 		c.violate("floor", now, "negative actuation %d ppt", prop)
@@ -769,8 +770,8 @@ func (c *checker) finish() {
 			c.violate("lost-thread", end, "thread %s in unknown state %q", tt.name, state)
 		}
 		// Exit bookkeeping closes: a kernel-exited thread must have been
-		// announced exactly once (a miss means a stale byKern entry), and
-		// an announced thread must really be gone.
+		// announced exactly once (a miss means the exit hook lost the
+		// handle), and an announced thread must really be gone.
 		if state == "exited" && !tt.exited {
 			c.violate("exit-hook", end, "thread %s exited without an OnExit (stale index?)", tt.name)
 		}

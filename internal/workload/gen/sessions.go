@@ -62,12 +62,6 @@ type SessionReport struct {
 	Goodput    float64
 }
 
-// sessionRef resolves an exiting thread to its session and stage.
-type sessionRef struct {
-	st    *sessionState
-	stage int
-}
-
 // sessionState is one session's live bookkeeping. States are pooled: a
 // terminal session's state — queues, thread slots, embedded stage
 // programs — is recycled to a later arrival instead of being reallocated
@@ -115,7 +109,6 @@ type sessionRun struct {
 	work     int64
 
 	sess []*sessionState
-	byTh map[*realrate.Thread]sessionRef
 
 	live, peakLive              int
 	started, refused, completed int
@@ -170,7 +163,6 @@ func newSessionRun(r *run, spec SessionSpec) *sessionRun {
 		chunk:    spec.Chunk,
 		work:     spec.Work,
 		deadline: spec.Deadline,
-		byTh:     make(map[*realrate.Thread]sessionRef),
 	}
 	if sr.stages < 2 {
 		sr.stages = 2
@@ -262,7 +254,6 @@ func (sr *sessionRun) admit(id int, p sessionPlan, now time.Duration) {
 		return
 	}
 	st.threads = append(st.threads, primary)
-	sr.byTh[primary] = sessionRef{st, 0}
 	st.alive = 1
 	sr.live++
 	if sr.live > sr.peakLive {
@@ -300,7 +291,6 @@ func (sr *sessionRun) admit(id int, p sessionPlan, now time.Duration) {
 			return
 		}
 		st.threads = append(st.threads, mth)
-		sr.byTh[mth] = sessionRef{st, s}
 		st.alive++
 	}
 }
@@ -402,6 +392,12 @@ func (sr *sessionRun) recycleSession(st *sessionState) {
 	sr.releaseState(st)
 }
 
+// sessionProgram names the session and stage a stage program runs; OnExit
+// reads it back through Thread.Program.
+type sessionProgram interface {
+	session() (*sessionState, int)
+}
+
 // srcState, midState, and sinkState are the session's stage programs,
 // embedded in the pooled session state and stepping through a reusable
 // Ops buffer, so a recycled session admits with zero program or op-box
@@ -417,6 +413,8 @@ type srcState struct {
 	compute bool
 	ops     realrate.Ops
 }
+
+func (p *srcState) session() (*sessionState, int) { return p.st, 0 }
 
 func (p *srcState) Next(th *realrate.Thread, now time.Duration) realrate.Action {
 	if p.sent >= p.sr.chunks {
@@ -443,6 +441,8 @@ type midState struct {
 	phase   int
 	ops     realrate.Ops
 }
+
+func (p *midState) session() (*sessionState, int) { return p.st, p.stage }
 
 func (p *midState) Next(th *realrate.Thread, now time.Duration) realrate.Action {
 	switch p.phase {
@@ -475,6 +475,8 @@ type sinkState struct {
 	consume bool
 	ops     realrate.Ops
 }
+
+func (p *sinkState) session() (*sessionState, int) { return p.st, len(p.st.done) - 1 }
 
 func (p *sinkState) Next(th *realrate.Thread, now time.Duration) realrate.Action {
 	if p.got >= p.sr.chunks {
@@ -546,19 +548,19 @@ func (sr *sessionRun) killSession(st *sessionState, exiting *realrate.Thread) {
 // releases its surviving stages, so no thread wedges forever on a queue
 // that will never fill or drain again.
 func (sr *sessionRun) OnExit(now time.Duration, th *realrate.Thread) {
-	ref, ok := sr.byTh[th]
+	sp, ok := th.Program().(sessionProgram)
 	if !ok {
 		return
 	}
-	delete(sr.byTh, th)
-	if !ref.st.done[ref.stage] {
-		sr.killSession(ref.st, th) // involuntary: shed or killed mid-payload
+	st, stage := sp.session()
+	if !st.done[stage] {
+		sr.killSession(st, th) // involuntary: shed or killed mid-payload
 	}
-	ref.st.alive--
-	if ref.st.alive == 0 && (ref.st.completed || ref.st.dead) {
+	st.alive--
+	if st.alive == 0 && (st.completed || st.dead) {
 		// Last thread of a terminal session: the pipeline can never be
 		// touched again, so its state returns to the pool.
-		sr.recycleSession(ref.st)
+		sr.recycleSession(st)
 	}
 }
 

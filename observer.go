@@ -164,7 +164,7 @@ func (h *observerHub) OnDispatch(now sim.Time, t *kernel.Thread) {
 		h.slo.dispatch(now, t)
 	}
 	if len(h.obs) > 0 {
-		th := h.sys.byKern[t]
+		th := handleOf(t)
 		cpu := t.CPU()
 		for _, o := range h.obs {
 			o.OnDispatch(time.Duration(now), th, cpu)
@@ -178,7 +178,7 @@ func (h *observerHub) OnMigration(now sim.Time, t *kernel.Thread, from, to int) 
 		h.rec.OnMigration(now, t, from, to)
 	}
 	if len(h.obs) > 0 {
-		th := h.sys.byKern[t]
+		th := handleOf(t)
 		for _, o := range h.obs {
 			o.OnMigration(time.Duration(now), th, from, to)
 		}
@@ -215,7 +215,7 @@ func (h *observerHub) onActuate(j *core.Job, prop int, period sim.Duration, now 
 	if len(h.obs) == 0 {
 		return
 	}
-	th := h.sys.byKern[j.Thread()]
+	th := handleOf(j.Thread())
 	for _, o := range h.obs {
 		o.OnActuation(time.Duration(now), th, prop, time.Duration(period))
 	}

@@ -162,3 +162,49 @@ func TestMutexRegisteredWithSystem(t *testing.T) {
 		t.Fatal("mutex leaked across systems")
 	}
 }
+
+// exitAfter computes for n steps, then exits.
+type exitAfter struct{ n int }
+
+func (p *exitAfter) Next(*realrate.Thread, time.Duration) realrate.Action {
+	if p.n--; p.n < 0 {
+		return realrate.Exit()
+	}
+	return realrate.Compute(100_000)
+}
+
+// programAtExit records, for each exit, whether Thread.Program still
+// returned the thread's program inside OnExit.
+type programAtExit struct {
+	realrate.NopObserver
+	want realrate.Program
+	seen []bool
+}
+
+func (o *programAtExit) OnExit(_ time.Duration, th *realrate.Thread) {
+	o.seen = append(o.seen, th.Program() == o.want)
+}
+
+// TestProgramReadableInOnExit pins the exit-hook order observers rely on
+// to find a thread's state without an index of their own: Program is
+// still the thread's program inside OnExit, and released after it.
+func TestProgramReadableInOnExit(t *testing.T) {
+	sys := realrate.NewSystem(realrate.Config{})
+	prog := &exitAfter{n: 3}
+	obs := &programAtExit{want: prog}
+	sys.Observe(obs)
+	th, err := sys.Spawn("w", prog, realrate.Miscellaneous())
+	if err != nil {
+		t.Fatal(err)
+	}
+	if th.Program() != prog {
+		t.Fatal("live thread does not report its program")
+	}
+	sys.Run(100 * time.Millisecond)
+	if len(obs.seen) != 1 || !obs.seen[0] {
+		t.Fatalf("OnExit saw the thread's program: %v, want [true]", obs.seen)
+	}
+	if th.Program() != nil {
+		t.Fatal("exited thread still holds its program")
+	}
+}

@@ -122,14 +122,14 @@ func (s *System) fireOverload(now sim.Time, from, to overload.Rung, sig overload
 }
 
 // fireShed fans a shed kill out to observers. It runs before the victim's
-// threads are retired, so byKern still resolves them.
+// threads are retired, so their handles still resolve.
 func (s *System) fireShed(j *core.Job, now sim.Time) {
 	if len(s.hub.obs) == 0 {
 		return
 	}
 	ev := ShedEvent{
 		Time:       time.Duration(now),
-		Thread:     s.byKern[j.Thread()],
+		Thread:     handleOf(j.Thread()),
 		Class:      j.Class().String(),
 		Importance: j.Importance(),
 		Rung:       "shed",

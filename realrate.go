@@ -145,12 +145,6 @@ type System struct {
 	// ctl is nil under baseline policies: no feedback allocator runs.
 	ctl *core.Controller
 
-	// byKern maps kernel threads back to their public handles, so quality
-	// events and observer callbacks stay O(1) at 10k threads. Entries are
-	// dropped when the thread exits (see threadExited), so admission churn
-	// cannot grow the map without bound.
-	byKern map[*kernel.Thread]*Thread
-
 	// thSlab is the current chunk backing public Thread handles. Handles
 	// are deliberately NOT pooled — a caller may hold one long after the
 	// thread exits and read its frozen statistics — but carving them from
@@ -276,7 +270,6 @@ func NewSystem(cfg Config) *System {
 		policy: kpol,
 		rbs:    rbsPol,
 		reg:    reg,
-		byKern: make(map[*kernel.Thread]*Thread),
 	}
 	s.hub.sys = s
 	kern.SetExitHook(s.threadExited)
@@ -439,7 +432,7 @@ func (s *System) OnQuality(fn func(QualityEvent)) { s.onQuality = fn }
 // fans it out to the OnQuality callback and every observer.
 func (s *System) fireQuality(ex core.QualityException) {
 	ev := QualityEvent{
-		Thread:    s.byKern[ex.Job.Thread()],
+		Thread:    handleOf(ex.Job.Thread()),
 		Time:      time.Duration(ex.Time),
 		Pressure:  ex.Pressure,
 		Desired:   ex.Desired,
@@ -539,7 +532,7 @@ func (s *System) CPUStats() []CPUStat {
 			Migrations: ks.MigrationsIn,
 		}
 		if t := s.kern.CurrentOn(i); t != nil {
-			out[i].Current = s.byKern[t]
+			out[i].Current = handleOf(t)
 		}
 	}
 	return out

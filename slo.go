@@ -1,6 +1,7 @@
 package realrate
 
 import (
+	"sort"
 	"time"
 
 	"repro/internal/kernel"
@@ -75,8 +76,8 @@ func (ss *sloSeries) add(lat float64, ok bool, cap int) {
 // sloTracker is installed on the observer hub when Config.Overload is
 // set; the hub feeds it every OnWake/OnDispatch edge. The pending wake
 // instant and the per-job/per-class series pointers are cached on the
-// Thread handle, so the per-sample cost is one pointer-map translation
-// plus reservoir arithmetic — no map churn, no string hashing.
+// Thread handle, which the kernel thread's User field names, so the
+// per-sample cost is reservoir arithmetic — no maps, no string hashing.
 type sloTracker struct {
 	sys           *System
 	target        sim.Duration
@@ -92,7 +93,7 @@ type sloTracker struct {
 	sessByKind map[string]*sloSeries
 
 	// recent is a ring of the newest latencies (seconds) for the
-	// governor's SLO trip probe.
+	// governor's SLO trip probe; scratch backs sorted.
 	recent    []float64
 	recentIdx int
 	scratch   []float64
@@ -185,8 +186,15 @@ func (tr *sloTracker) recentP99() sim.Duration {
 	if len(tr.recent) == 0 {
 		return 0
 	}
-	tr.scratch = append(tr.scratch[:0], tr.recent...)
-	return sim.Duration(metrics.Percentile(tr.scratch, 99) * float64(sim.Second))
+	return sim.Duration(metrics.PercentileSorted(tr.sorted(tr.recent), 99) * float64(sim.Second))
+}
+
+// sorted returns an ascending copy of vs, valid until the next call. The
+// reservoirs stay unsorted: replacement picks samples by position.
+func (tr *sloTracker) sorted(vs []float64) []float64 {
+	tr.scratch = append(tr.scratch[:0], vs...)
+	sort.Float64s(tr.scratch)
+	return tr.scratch
 }
 
 // SLOStat summarizes one job's or class's wake→dispatch latency.
@@ -226,15 +234,17 @@ type SLOReport struct {
 	Sessions      map[string]SLOStat
 }
 
-func (ss *sloSeries) stat() SLOStat {
+// stat summarizes one series, sorting its reservoir once.
+func (tr *sloTracker) stat(ss *sloSeries) SLOStat {
 	st := SLOStat{Samples: ss.seen}
 	if ss.seen > 0 {
 		st.Attainment = float64(ss.attained) / float64(ss.seen)
 	}
 	if len(ss.samples) > 0 {
-		st.P50 = secDur(metrics.Percentile(ss.samples, 50))
-		st.P99 = secDur(metrics.Percentile(ss.samples, 99))
-		st.P999 = secDur(metrics.Percentile(ss.samples, 99.9))
+		s := tr.sorted(ss.samples)
+		st.P50 = secDur(metrics.PercentileSorted(s, 50))
+		st.P99 = secDur(metrics.PercentileSorted(s, 99))
+		st.P999 = secDur(metrics.PercentileSorted(s, 99.9))
 	}
 	return st
 }
@@ -276,19 +286,19 @@ func (s *System) SLO() SLOReport {
 		Jobs:          make(map[string]SLOStat, len(tr.byJob)),
 		Sessions:      make(map[string]SLOStat, len(tr.sessByKind)),
 	}
-	tot := tr.total.stat()
+	tot := tr.stat(tr.total)
 	rep.Samples = tot.Samples
 	rep.Attainment = tot.Attainment
 	rep.P50, rep.P99, rep.P999 = tot.P50, tot.P99, tot.P999
 	for cls, ss := range tr.byClass {
-		rep.Classes[cls] = ss.stat()
+		rep.Classes[cls] = tr.stat(ss)
 	}
 	for name, ss := range tr.byJob {
-		rep.Jobs[name] = ss.stat()
+		rep.Jobs[name] = tr.stat(ss)
 	}
-	rep.Session = tr.sessTotal.stat()
+	rep.Session = tr.stat(tr.sessTotal)
 	for kind, ss := range tr.sessByKind {
-		rep.Sessions[kind] = ss.stat()
+		rep.Sessions[kind] = tr.stat(ss)
 	}
 	return rep
 }

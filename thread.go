@@ -54,16 +54,17 @@ type Thread struct {
 	exitImportance float64
 
 	// The open wake→dispatch SLO edge and the tracker's cached series
-	// live on the handle so the per-dispatch tap touches no maps beyond
-	// the byKern translation and hashes no strings (slo.go).
+	// live on the handle, which the kernel thread's User field names, so
+	// the per-dispatch tap touches no maps and hashes no strings (slo.go).
 	sloWake    sim.Time
 	sloPending bool
 	sloJob     *sloSeries
 	sloClass   *sloSeries
 }
 
-// spawn creates the kernel thread wired to the public program and indexes
-// the handle for O(1) kernel-thread lookups.
+// spawn creates the kernel thread wired to the public program and stores
+// the handle in its User field, where every kernel-thread-to-handle
+// lookup (handleOf) finds it.
 func (s *System) spawn(name string, prog Program, affinity int) *Thread {
 	if len(s.thSlab) == 0 {
 		s.thSlab = make([]Thread, 256)
@@ -75,9 +76,8 @@ func (s *System) spawn(name string, prog Program, affinity int) *Thread {
 	th.t = s.kern.SpawnAffinity(name, &th.adapter, affinity)
 	th.gen = th.t.Gen()
 	th.t.User = th
-	s.byKern[th.t] = th
 	if s.slo != nil {
-		// The spawn's own wake edge traced before the handle was indexed;
+		// The spawn's own wake edge traced before User named the handle;
 		// open it here so the first dispatch still yields a sample.
 		th.sloPending, th.sloWake = true, s.kern.Now()
 	}
@@ -107,20 +107,26 @@ func (th *Thread) retire(t *kernel.Thread) {
 		th.exitClass = "unmanaged"
 	}
 	th.job = nil
-	th.adapter.prog = nil // release the program for the collector
+}
+
+// handleOf returns t's public handle, or nil for the controller's shard
+// threads and for threads that left the machine (their User is cleared).
+func handleOf(t *kernel.Thread) *Thread {
+	th, _ := t.User.(*Thread)
+	return th
 }
 
 // threadExited is the kernel exit hook: it freezes the handle, tears the
 // thread out of its controller job (the controller's only teardown path;
 // a pooled slot can be reissued before the next control epoch, by which
-// time every stale reference must be gone), and tells observers the
-// thread is over. Threads removed by removeThread
-// (rejected spawns) were unindexed before retirement, so they never ran
-// and never surface an OnExit.
+// time every stale reference must be gone), tells observers the thread is
+// over, and only then releases its program, so OnExit can still read
+// Program. Threads removed by removeThread (rejected spawns) lost their
+// handle before retirement, so they never ran and never surface an OnExit.
 func (s *System) threadExited(t *kernel.Thread, now sim.Time) {
-	th, ok := s.byKern[t]
-	if ok {
-		delete(s.byKern, t)
+	th := handleOf(t)
+	if th != nil {
+		t.User = nil
 		th.sloPending = false // drop any open wake edge with the handle
 		// Freeze before the controller teardown below: it may scrub and
 		// pool the job object the frozen values are read from.
@@ -134,21 +140,23 @@ func (s *System) threadExited(t *kernel.Thread, now sim.Time) {
 	if s.ctl != nil {
 		s.ctl.ThreadExited(t, now)
 	}
-	if !ok {
+	if th == nil {
 		return
 	}
 	for _, o := range s.hub.obs {
 		o.OnExit(time.Duration(now), th)
 	}
+	th.adapter.prog = nil // release the program for the collector
 }
 
 // removeThread undoes a spawn whose registration failed: the kernel thread
 // is retired (so a rejected program does not keep running in the leftover
 // CPU), any progress sources registered before the failure are unlinked,
-// and the public handle is unindexed. Unindexing happens before Retire so
-// the exit hook does not announce a thread that never publicly existed.
+// and the handle is cleared from the kernel thread's User field. That
+// happens before Retire so the exit hook does not announce a thread that
+// never publicly existed.
 func (s *System) removeThread(th *Thread) {
-	delete(s.byKern, th.t)
+	th.t.User = nil
 	s.reg.Unregister(th.t)
 	s.kern.Retire(th.t)
 }
@@ -183,6 +191,10 @@ func (th *Thread) assertLive(op string) {
 		panic(fmt.Sprintf("realrate: %s on thread %q whose kernel slot was recycled (handle generation %d, slot now %d)", op, th.name, th.gen, g))
 	}
 }
+
+// Program returns the program the thread runs; after the thread's OnExit
+// callbacks it is nil, released for the collector.
+func (th *Thread) Program() Program { return th.adapter.prog }
 
 // Exited reports whether the thread has exited (voluntarily or by Kill).
 // An exited handle keeps serving its frozen final statistics even after
