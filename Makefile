@@ -82,8 +82,9 @@ stress:
 	$(GO) run ./cmd/rrexp -gen -scenario slo -cpus 8 -controller event -seeds $(STRESS_SLO_SEEDS)
 
 # goldens byte-compares every committed golden in testdata/goldens/ —
-# Figures 5-8, the rbs dispatch traces and the generated-workload runs —
-# against a fresh run (re-bless with scripts/goldens.sh -update).
+# Figures 5-8, the rbs dispatch traces, the rbs miss-ledger series and the
+# generated-workload runs — against a fresh run (re-bless with
+# scripts/goldens.sh -update).
 goldens:
 	./scripts/goldens.sh
 

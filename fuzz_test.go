@@ -5,6 +5,7 @@ import (
 	"time"
 
 	"repro/internal/kernel"
+	"repro/internal/sim"
 )
 
 // decodeSpawnOptions turns fuzz bytes into one Spawn's option list. Every
@@ -90,7 +91,45 @@ func FuzzSpawnOptions(f *testing.F) {
 	f.Add([]byte{3, 8, 0, 9, 2, 9, 3})         // invalid importance + tickets + nice
 	f.Add([]byte{1, 0, 120, 1, 0, 120, 0, 50}) // oversubscription
 	f.Add([]byte{4, 6, 0, 8, 12, 5, 0, 2, 9})
+	f.Add(refusingSpawnSeed)
 
+	f.Fuzz(func(t *testing.T, data []byte) {
+		runSpawnOptions(t, data)
+	})
+}
+
+// refusingSpawnSeed spawns three threads reserving 880‰ each under RBS:
+// admission control refuses the last two, and each refusal retires the
+// kernel thread it created.
+var refusingSpawnSeed = []byte{0, 0, 0, 110, 0, 0, 110, 0, 0, 110}
+
+// TestSpawnOptionsChecksRefusedThreads pins that FuzzSpawnOptions inspects
+// the kernel threads refused spawns retire. Retire recycles such a thread
+// and swap-removes it from Kernel.Threads before Spawn returns, so a check
+// that looks for it there runs on nothing.
+func TestSpawnOptionsChecksRefusedThreads(t *testing.T) {
+	if n := runSpawnOptions(t, refusingSpawnSeed); n < 1 {
+		t.Fatalf("checked %d refused threads, want at least 1", n)
+	}
+}
+
+// refusedThread is a kernel thread retired by a refused Spawn, as the exit
+// hook saw it: after the system's own teardown, before a recycling kernel
+// scrubs and pools the object.
+type refusedThread struct {
+	state   kernel.State
+	handle  bool
+	metrics bool
+	ran     sim.Duration
+}
+
+// runSpawnOptions is FuzzSpawnOptions' body. It reports how many kernel
+// threads retired by refused spawns it checked.
+func runSpawnOptions(t *testing.T, data []byte) (checked int) {
+	t.Helper()
+	if len(data) < 3 {
+		t.Skip()
+	}
 	policies := []func() Policy{
 		func() Policy { return nil },
 		func() Policy { return Stride(10 * time.Millisecond) },
@@ -98,71 +137,75 @@ func FuzzSpawnOptions(f *testing.F) {
 		func() Policy { return Linux() },
 		func() Policy { return RoundRobin(10 * time.Millisecond) },
 	}
+	sys := NewSystem(Config{Policy: policies[int(data[0])%len(policies)]()})
+	data = data[1:]
+	q := sys.NewQueue("q", 1<<16)
+	lead, err := sys.Spawn("lead", HogProgram(100_000))
+	if err != nil {
+		t.Fatalf("lead spawn: %v", err)
+	}
 
-	f.Fuzz(func(t *testing.T, data []byte) {
-		if len(data) < 3 {
-			t.Skip()
+	var refused []refusedThread
+	spawning := false
+	sys.kern.SetExitHook(func(kt *kernel.Thread, now sim.Time) {
+		sys.threadExited(kt, now)
+		if spawning {
+			refused = append(refused, refusedThread{kt.State(), kt.User != nil, sys.reg.HasMetrics(kt), kt.CPUTime()})
 		}
-		sys := NewSystem(Config{Policy: policies[int(data[0])%len(policies)]()})
-		data = data[1:]
-		q := sys.NewQueue("q", 1<<16)
-		lead, err := sys.Spawn("lead", HogProgram(100_000))
+	})
+	handles := []*Thread{lead}
+	for len(data) >= 3 {
+		var opts []SpawnOption
+		opts, data = decodeSpawnOptions(data, sys, q, lead)
+		retires := sys.kern.Stats().Retires
+		refused = refused[:0]
+		spawning = true
+		th, err := sys.Spawn("fuzzed", HogProgram(200_000), opts...)
+		spawning = false
 		if err != nil {
-			t.Fatalf("lead spawn: %v", err)
-		}
-
-		type rejected struct{ th *kernel.Thread }
-		var rejects []rejected
-		handles := []*Thread{lead}
-		for len(data) >= 3 {
-			var opts []SpawnOption
-			opts, data = decodeSpawnOptions(data, sys, q, lead)
-			before := len(sys.kern.Threads())
-			th, err := sys.Spawn("fuzzed", HogProgram(200_000), opts...)
-			created := sys.kern.Threads()[before:]
-			if err != nil {
-				if th != nil {
-					t.Fatalf("Spawn returned both a handle and an error: %v", err)
+			if th != nil {
+				t.Fatalf("Spawn returned both a handle and an error: %v", err)
+			}
+			// Error-vs-retire consistency: anything created on the way to
+			// the error is exited, handle-free, unregistered, and never ran.
+			if n := sys.kern.Stats().Retires - retires; uint64(len(refused)) != n {
+				t.Fatalf("refused spawn retired %d threads, exit hook saw %d (opts error: %v)", n, len(refused), err)
+			}
+			for _, r := range refused {
+				switch {
+				case r.state != kernel.StateExited:
+					t.Fatalf("rejected spawn left thread in state %v (opts error: %v)", r.state, err)
+				case r.handle:
+					t.Fatalf("rejected spawn left a handle in its kernel thread (opts error: %v)", err)
+				case r.metrics:
+					t.Fatalf("rejected spawn left progress metrics registered (opts error: %v)", err)
+				case r.ran != 0:
+					t.Fatalf("rejected thread ran for %v (opts error: %v)", time.Duration(r.ran), err)
 				}
-				// Error-vs-retire consistency: anything created on the way
-				// to the error is exited, handle-free, and unregistered.
-				for _, kt := range created {
-					if kt.State() != kernel.StateExited {
-						t.Fatalf("rejected spawn left thread in state %v (opts error: %v)", kt.State(), err)
-					}
-					if kt.User != nil {
-						t.Fatalf("rejected spawn left a handle in its kernel thread (opts error: %v)", err)
-					}
-					if sys.reg.HasMetrics(kt) {
-						t.Fatalf("rejected spawn left progress metrics registered (opts error: %v)", err)
-					}
-					rejects = append(rejects, rejected{kt})
-				}
-			} else {
-				if th.State() == "exited" {
-					t.Fatal("successful spawn returned an exited thread")
-				}
-				handles = append(handles, th)
+				checked++
 			}
-			if err := checkIdentity(sys, handles); err != nil {
-				t.Fatal(err)
+		} else {
+			if th.State() == "exited" {
+				t.Fatal("successful spawn returned an exited thread")
 			}
+			handles = append(handles, th)
 		}
-
-		// The machine must run with whatever mix was admitted, and the
-		// rejected threads must never consume CPU.
-		sys.Run(30 * time.Millisecond)
-		for _, r := range rejects {
-			if r.th.CPUTime() != 0 {
-				t.Fatalf("rejected thread ran for %v", time.Duration(r.th.CPUTime()))
-			}
-			if r.th.State() != kernel.StateExited {
-				t.Fatalf("rejected thread resurrected: %v", r.th.State())
-			}
-		}
-		// Exit bookkeeping stays closed: live public handles only.
 		if err := checkIdentity(sys, handles); err != nil {
 			t.Fatal(err)
 		}
-	})
+	}
+
+	// The machine must run with whatever mix was admitted, and no rejected
+	// thread comes back: every live fuzzed kernel thread carries its handle.
+	sys.Run(30 * time.Millisecond)
+	for _, kt := range sys.kern.Threads() {
+		if kt.Name() == "fuzzed" && kt.State() != kernel.StateExited && handleOf(kt) == nil {
+			t.Fatalf("fuzzed kernel thread %v runs without a handle", kt)
+		}
+	}
+	// Exit bookkeeping stays closed: live public handles only.
+	if err := checkIdentity(sys, handles); err != nil {
+		t.Fatal(err)
+	}
+	return checked
 }

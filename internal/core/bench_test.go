@@ -174,6 +174,65 @@ func TestEventDrivenPerJobCostScales(t *testing.T) {
 	}
 }
 
+// TestEventDrivenSampledJobsScale is the deterministic companion of
+// TestEventDrivenPerJobCostScales: it counts the work of an event-mode
+// epoch instead of timing it. Every epoch must sample in full exactly the
+// jobs that are due — never sampled, or past the staleness bound (the rig
+// holds no real-rate job, so nothing is dirty) — and skip the rest. Over
+// one staleness window each quiet job is then sampled once, so the
+// per-job work the shard programs charge for (full samples plus 1/8 per
+// skip) is the same at n=10k and n=100k.
+func TestEventDrivenSampledJobsScale(t *testing.T) {
+	if testing.Short() {
+		t.Skip("short mode")
+	}
+	cfg := Config{EventDriven: true, Shards: 8}
+	var perJob [2]float64
+	for i, n := range []int{10_000, 100_000} {
+		c, now := stepRig(n, cfg)
+		var sampled, skipped int
+		for e := int64(0); e < c.stalenessEpochs; e++ {
+			due, jobs := 0, 0
+			for _, s := range c.shards {
+				for _, j := range s.list {
+					if j.removed {
+						continue
+					}
+					if j.class == RealRate {
+						t.Fatalf("n=%d: rig holds real-rate job %s", n, j.thread.Name())
+					}
+					jobs++
+					if !j.sampled || c.epoch+1-j.sampleEpoch >= c.stalenessEpochs {
+						due++
+					}
+				}
+			}
+			if jobs != n {
+				t.Fatalf("n=%d: shards list %d jobs", n, jobs)
+			}
+			runEpoch(c, now)
+			var epochSampled, epochSkipped int
+			for _, st := range c.ShardStats() {
+				epochSampled += st.LastSampled
+				epochSkipped += st.LastSkipped
+			}
+			if epochSampled != due || epochSampled+epochSkipped != n {
+				t.Fatalf("n=%d epoch %d: sampled %d and skipped %d jobs, want %d due of %d",
+					n, c.epoch, epochSampled, epochSkipped, due, n)
+			}
+			sampled += epochSampled
+			skipped += epochSkipped
+		}
+		if sampled != n {
+			t.Fatalf("n=%d: one staleness window sampled %d jobs, want each once", n, sampled)
+		}
+		perJob[i] = (float64(sampled) + float64(skipped)/8) / float64(n)
+	}
+	if perJob[1] > 2*perJob[0] {
+		t.Errorf("event-mode per-job work grew %.2fx from n=10k to n=100k, want < 2x", perJob[1]/perJob[0])
+	}
+}
+
 // TestSoak1MAdmission is the scale soak: admit one million miscellaneous
 // jobs and run a handful of control epochs under the sharded event-driven
 // loop. It exists to prove admission and the per-epoch machinery stay

@@ -14,13 +14,24 @@ import (
 // on an 8-CPU machine holding ~3,000 queued registered threads per CPU,
 // all on 10 ms periods with random phases — the shape of the slo-storm
 // machines' per-CPU backlog. The clock advances 2 µs per Pick round-robin
-// over the CPUs, so each Pick rolls a few due boundaries out of a
-// current-slot bucket of ~300 entries and reads the heap top. The machine
-// never starts, so nothing runs, charges or naps: the cost is the boundary
-// wheel drain plus the ready heap, and it must not allocate.
+// over the CPUs. The machine never starts, so nothing runs, charges or
+// naps, and every thread stays in the ready heap. Under EDF each thread is
+// filed in the boundary wheel, so each Pick rolls a few due boundaries out
+// of a current-slot bucket of ~300 entries, re-keys them in the heap and
+// reads the heap top. Under RMS the same threads are lazy and unfiled, so
+// a Pick reads the heap top over an empty wheel. It must not allocate.
 //
 //	go test -run '^$' -bench BenchmarkPickDrain -benchmem ./internal/rbs
 func BenchmarkPickDrain(b *testing.B) {
+	for _, run := range []struct {
+		name string
+		disc rbs.Discipline
+	}{{"disc=RMS", rbs.RMS}, {"disc=EDF", rbs.EDF}} {
+		b.Run(run.name, func(b *testing.B) { benchPickDrain(b, run.disc) })
+	}
+}
+
+func benchPickDrain(b *testing.B, disc rbs.Discipline) {
 	const (
 		cpus      = 8
 		perCPU    = 3000
@@ -31,6 +42,7 @@ func BenchmarkPickDrain(b *testing.B) {
 	cfg := kernel.DefaultConfig()
 	cfg.CPUs = cpus
 	p := rbs.New()
+	p.Discipline = disc
 	k := kernel.New(eng, cfg, p)
 	rng := sim.NewRNG(42)
 	threads := make([]*kernel.Thread, cpus*perCPU)
@@ -58,8 +70,8 @@ func BenchmarkPickDrain(b *testing.B) {
 			b.Fatal("empty shard")
 		}
 	}
-	// Warm up across two full periods so every entry has rolled and the
-	// wheel is in steady state.
+	// Warm up across two full periods so every filed entry has rolled and
+	// the wheel is in steady state.
 	for i := 0; i < int(2*period/pickEvery); i++ {
 		pick(i)
 	}

@@ -90,3 +90,28 @@ func RaiseCurMin(p *Policy, cpu int) bool {
 	sh.curMin = min + 1
 	return true
 }
+
+// FileLazy files the first lazy thread in the shard's ready heap in the
+// boundary wheel, as an eager roll would.
+func FileLazy(p *Policy, cpu int) bool {
+	sh := &p.shards[cpu]
+	for _, e := range sh.ready {
+		if p.lazy(e.st) {
+			p.boundInsert(sh, e.st)
+			return true
+		}
+	}
+	return false
+}
+
+// InflateBudget lifts the budget of the first registered thread in the
+// shard's ready heap above its period's allocation.
+func InflateBudget(p *Policy, cpu int) bool {
+	for _, e := range p.shards[cpu].ready {
+		if st := e.st; st.registered {
+			st.budget = st.perBudget + 1
+			return true
+		}
+	}
+	return false
+}

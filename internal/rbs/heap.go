@@ -46,8 +46,10 @@ type shard struct {
 	// threads with budget and the unmanaged round-robin class below them.
 	ready []readyEnt
 	// buckets/buckets2/overflow/curSlot form the period-boundary wheel of
-	// queued registered threads by next period end; Pick drains the due
-	// entries instead of refreshing every runnable thread. Each bucket is
+	// the queued registered threads whose rolls are eager — exhausted
+	// threads, and under EDF every one — by next period end; Pick drains
+	// the due entries instead of refreshing every runnable thread. Lazy
+	// threads (RMS, in the ready heap) are not filed. Each bucket is
 	// the head id of a doubly linked list through Policy.wn. Level 1 spans
 	// one kernel tick per slot; level 2 spans bwSlots ticks per slot, so
 	// any boundary within bwSlots² ticks (≈65 s at a 1 ms tick) files in
@@ -69,6 +71,11 @@ type shard struct {
 	// thousands of short-period threads sharing one tick-wide slot, that
 	// scan dominated the dispatch profile at 100k-session scale.
 	curMin sim.Time
+	// drained is the instant of the shard's last Pick. An eager wheel
+	// would have rolled every queued registered thread to it, so a lazy
+	// thread counts as rolled to drained: catch-ups and the settling read
+	// of MissedDeadlines roll it there.
+	drained sim.Time
 }
 
 // timeMax is the +∞ sentinel for curMin when the current slot is empty.
@@ -213,12 +220,18 @@ func readyDown(sh *shard, i int) bool {
 	return moved
 }
 
-// --- period-boundary wheel: queued registered threads by period end ---
+// --- period-boundary wheel: eagerly rolled threads by period end ---
 //
-// Period refresh must run for every queued registered thread whose period
-// ended, on every dispatch — but with thousands of oversubscribed threads,
-// boundaries pass at Σ 1/periodᵢ per second, so an ordered heap pays an
-// O(log n) sift per roll and dominates the profile. Period ends are timer
+// Period refresh must run, before a dispatch reads the ready heap, for
+// every queued registered thread whose roll can change that dispatch: an
+// exhausted thread (the roll refills it into the heap) and, under EDF,
+// every registered thread (the heap key is the period end). Under RMS a
+// ready thread's roll changes no key — its budget is above zero before
+// and after — so it is lazy and not filed: the thread is rolled when next
+// touched, and MissedDeadlines rolls the rest when the ledger is read.
+// With thousands of oversubscribed threads, the filed boundaries still
+// pass at up to Σ 1/periodᵢ per second, so an ordered heap would pay an
+// O(log n) sift per roll and dominate the profile. Period ends are timer
 // deadlines, so they get the same treatment as the sim engine's event
 // queue: a hierarchical timer wheel. Level 1 has bwSlots buckets of one
 // kernel tick each; level 2 has bwSlots buckets of bwSlots ticks each, so
@@ -249,8 +262,8 @@ const (
 )
 
 // boundInsert files st under its current period end in sh. The thread
-// must be queued, registered, and not already filed. Filing and unfiling
-// never allocate no matter how boundaries cluster.
+// must be queued, registered, not lazy, and not already filed. Filing and
+// unfiling never allocate no matter how boundaries cluster.
 func (p *Policy) boundInsert(sh *shard, st *state) {
 	key := p.periodEnd(st)
 	p.wn[st.id].key = key
@@ -316,13 +329,15 @@ func (p *Policy) boundRemove(sh *shard, st *state) {
 	st.boundIdx = -1
 }
 
-// boundDrain rolls every queued registered thread in sh whose period ended
-// at or before now. The L1 cursor advances to now's slot; L2 buckets whose
-// span the cursor crossed cascade — due entries roll, the rest refile
-// (necessarily into L1, since their slot is within bwSlots of the new
-// cursor). Entries refiled during the drain always carry a
+// boundDrain rolls every filed thread in sh whose period ended at or
+// before now, and records now as the instant the shard's lazy threads
+// count as rolled to. The L1 cursor advances to now's slot; L2 buckets
+// whose span the cursor crossed cascade — due entries roll, the rest
+// refile (necessarily into L1, since their slot is within bwSlots of the
+// new cursor). Entries refiled during the drain always carry a
 // rolled-past-now key, so the walk never rolls them twice.
 func (p *Policy) boundDrain(sh *shard, now sim.Time) {
+	sh.drained = now
 	target := int64(now) / p.slotW
 	if target < sh.curSlot {
 		target = sh.curSlot

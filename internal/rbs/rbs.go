@@ -22,10 +22,21 @@
 // points instead of a full refresh scan per Pick (see heap.go), and the
 // registered-proportion total is maintained incrementally. Both
 // structures keep their hot data in contiguous arrays, so comparisons and
-// bucket walks load a thread's state only when they must act on it. The
-// resulting schedule is bit-identical to the legacy linear scan's (the
-// Verify hook cross-checks every Pick against the scan order and audits
-// the cached keys and wheel links from scratch).
+// bucket walks load a thread's state only when they must act on it.
+//
+// Under RMS a period roll of a thread in the ready heap changes nothing a
+// dispatch decision reads: its budget is above zero before and after, so
+// its key, goodness and better() results stay put. Such threads are lazy:
+// the wheel does not file them, and each one is rolled only when it is
+// next touched, or when MissedDeadlines settles the ledger. The wheel
+// files exhausted threads (their roll refills the budget and returns them
+// to the heap) and, under EDF, every queued registered thread (the heap
+// key is the period end).
+//
+// The resulting schedule is bit-identical to the legacy linear scan's
+// (the Verify hook cross-checks every Pick against the scan order and
+// audits the cached keys, the wheel links and the lazy threads from
+// scratch).
 package rbs
 
 import (
@@ -88,7 +99,6 @@ type state struct {
 	// perBudget caches res.Budget() so the per-period roll does no
 	// multiply/divide; SetReservation keeps it in sync.
 	perBudget sim.Duration
-	missed    uint64
 
 	// seq reconstructs the legacy runnable-slice order: assigned when the
 	// thread enters the queue and reassigned on round-robin rotation, so
@@ -126,7 +136,7 @@ type state struct {
 	// (recycle mode only).
 	freeNext *state
 
-	_ [16]byte // pads the state to two cache lines on 64-bit hosts
+	_ [24]byte // pads the state to two cache lines on 64-bit hosts
 }
 
 // Policy is the reservation-based dispatcher.
@@ -286,6 +296,7 @@ func (p *Policy) SetReservation(t *kernel.Thread, res Reservation) error {
 		// on an exited, un-recycled one — nothing is queued, nothing wakes.
 		return nil
 	}
+	p.catchUp(t, st)
 	if !st.registered || st.res.Period != res.Period {
 		if st.counted {
 			p.totalProp += res.Proportion - st.res.Proportion
@@ -340,6 +351,7 @@ func (p *Policy) Unregister(t *kernel.Thread) {
 	if !ok {
 		return
 	}
+	p.catchUp(t, st)
 	if st.counted {
 		p.totalProp -= st.res.Proportion
 		st.counted = false
@@ -353,7 +365,24 @@ func (p *Policy) Unregister(t *kernel.Thread) {
 // thread still holding unused budget — the dispatcher could not deliver the
 // allocation. The prototype notifies the controller of misses so it can
 // grow the spare capacity; the controller polls this counter.
-func (p *Policy) MissedDeadlines() uint64 { return p.missedTotal }
+//
+// Under RMS the read settles the ledger first: every lazy thread in a
+// ready heap is rolled to its shard's last Pick, the instant an eager
+// wheel would have rolled it at, so the count is exact at every read and
+// reading it never changes the schedule. The read is O(ready).
+func (p *Policy) MissedDeadlines() uint64 {
+	if p.Discipline == RMS {
+		for i := range p.shards {
+			sh := &p.shards[i]
+			for _, e := range sh.ready {
+				if e.k < unmanagedKey {
+					p.refresh(e.st, sh.drained)
+				}
+			}
+		}
+	}
+	return p.missedTotal
+}
 
 // TotalProportion sums the proportions of all registered live threads, the
 // paper's overload signal ("one can easily detect overload by summing the
@@ -386,7 +415,6 @@ func (p *Policy) refresh(st *state, now sim.Time) {
 		if k > 1 && st.perBudget > 0 {
 			miss += uint64(k - 1)
 		}
-		st.missed += miss
 		p.missedTotal += miss
 	}
 	st.periodStart = st.periodStart.Add(sim.Duration(k * int64(st.res.Period)))
@@ -412,17 +440,19 @@ func (p *Policy) roll(t *kernel.Thread, st *state, now sim.Time) {
 }
 
 // rollDue rolls a queued registered thread whose boundary entry has been
-// taken out of the wheel, and refiles it.
+// taken out of the wheel, and refiles it unless the roll left it lazy (an
+// exhausted RMS thread whose budget refilled joins the ready heap
+// unfiled).
 func (p *Policy) rollDue(sh *shard, st *state, now sim.Time) {
 	wasExhausted := st.exhIdx >= 0
 	p.refresh(st, now)
-	p.boundInsert(sh, st)
 	if wasExhausted && st.budget > 0 {
 		exhRemove(sh, st)
 		p.readyPush(sh, st)
 	} else if p.Discipline == EDF {
 		p.readyFix(sh, st)
 	}
+	p.fileEager(sh, st)
 }
 
 // reconcile re-derives t's structure memberships and keys from its state,
@@ -433,9 +463,6 @@ func (p *Policy) reconcile(t *kernel.Thread, st *state) {
 	}
 	sh := p.shardOf(t)
 	p.boundRemove(sh, st)
-	if st.registered {
-		p.boundInsert(sh, st)
-	}
 	if !st.registered || st.budget > 0 {
 		exhRemove(sh, st)
 		if st.heapIdx < 0 {
@@ -446,6 +473,36 @@ func (p *Policy) reconcile(t *kernel.Thread, st *state) {
 	} else {
 		readyRemove(sh, st)
 		exhAdd(sh, st)
+	}
+	p.fileEager(sh, st)
+}
+
+// lazy reports whether st's period rolls are deferred: under RMS a
+// registered thread in the ready heap always holds budget, so a roll only
+// refills that budget and counts misses, and waits until the thread is
+// next touched or the ledger is read. The wheel does not file it.
+func (p *Policy) lazy(st *state) bool {
+	return p.Discipline == RMS && st.registered && st.heapIdx >= 0
+}
+
+// fileEager files a queued registered thread in its shard's boundary
+// wheel unless its rolls are lazy or it is filed already. Callers run it
+// once the thread's ready-heap membership is settled.
+func (p *Policy) fileEager(sh *shard, st *state) {
+	if st.registered && st.boundLevel == levelNone && !p.lazy(st) {
+		p.boundInsert(sh, st)
+	}
+}
+
+// catchUp rolls a lazy thread to its shard's last Pick — the roll an eager
+// wheel would have made there — before an operation that would otherwise
+// lose it: leaving the queue, or a reservation change. Operations that
+// refresh to now themselves (TimeSlice, Charge, Enqueue) need no catch-up,
+// because now is at or after that Pick and the closed-form refresh counts
+// the same misses in one step as in two.
+func (p *Policy) catchUp(t *kernel.Thread, st *state) {
+	if p.lazy(st) {
+		p.refresh(st, p.shardOf(t).drained)
 	}
 }
 
@@ -481,16 +538,12 @@ func (p *Policy) Enqueue(t *kernel.Thread, now sim.Time) {
 	st.queued = true
 	st.seq = p.seqGen
 	p.seqGen++
-	if st.registered {
-		p.boundInsert(sh, st)
-		if st.budget > 0 {
-			p.readyPush(sh, st)
-		} else {
-			exhAdd(sh, st)
-		}
+	if st.registered && st.budget <= 0 {
+		exhAdd(sh, st)
 	} else {
 		p.readyPush(sh, st)
 	}
+	p.fileEager(sh, st)
 	if cur := p.k.CurrentOn(t.CPU()); cur != nil && p.better(t, cur) {
 		p.needResched[t.CPU()] = true
 	}
@@ -502,6 +555,7 @@ func (p *Policy) Dequeue(t *kernel.Thread, now sim.Time) {
 	if !st.queued {
 		return
 	}
+	p.catchUp(t, st)
 	sh := p.shardOf(t)
 	st.queued = false
 	readyRemove(sh, st)
@@ -552,9 +606,10 @@ func (p *Policy) better(a, b *kernel.Thread) bool {
 //
 // Instead of refreshing every runnable thread per dispatch, Pick drains
 // the due entries of the period-boundary wheel (refresh runs once per
-// period per thread, at O(1) amortized structure cost), naps the
+// period per filed thread, at O(1) amortized structure cost), naps the
 // exhausted list, and takes the ready heap top: O(log n) where the legacy
-// scan was O(n) on every dispatch.
+// scan was O(n) on every dispatch. Lazy threads are not rolled here; the
+// shard records now as the instant they count as rolled to.
 func (p *Policy) Pick(cpu int, now sim.Time) *kernel.Thread {
 	sh := &p.shards[cpu]
 	p.boundDrain(sh, now)
@@ -580,10 +635,12 @@ func (p *Policy) Pick(cpu int, now sim.Time) *kernel.Thread {
 // verifyPick replays the legacy linear scan — runnable threads in slice
 // (enqueue) order, first-best wins via better() — and panics if the heap
 // disagrees. It also asserts the invariants the heap relies on: every due
-// period has been rolled and no exhausted thread lingers in the ready set.
-// Before the scan it audits, from scratch, the cached state the fast
-// paths trust: every ready entry's packed key and heap index, and the
-// shard's boundary wheel (auditWheel).
+// period of an eagerly rolled thread has been rolled, no exhausted thread
+// lingers in the ready set, and no budget exceeds its period's allocation
+// (so a lazy thread's deferred roll, which refills to that allocation,
+// leaves its budget above zero). Before the scan it audits, from scratch,
+// the cached state the fast paths trust: every ready entry's packed key
+// and heap index, and the shard's boundary wheel (auditWheel).
 func (p *Policy) verifyPick(sh *shard, now sim.Time) {
 	scan := make([]*kernel.Thread, len(sh.ready))
 	for i, e := range sh.ready {
@@ -597,6 +654,9 @@ func (p *Policy) verifyPick(sh *shard, now sim.Time) {
 		if int(st.heapIdx) != i {
 			panic(fmt.Sprintf("rbs: verify: %v sits at heap index %d, state says %d", st.t, i, st.heapIdx))
 		}
+		if st.budget > st.perBudget {
+			panic(fmt.Sprintf("rbs: verify: %v holds budget %v above its period budget %v", st.t, st.budget, st.perBudget))
+		}
 		scan[i] = st.t
 	}
 	p.auditWheel(sh)
@@ -606,7 +666,7 @@ func (p *Policy) verifyPick(sh *shard, now sim.Time) {
 	var best *kernel.Thread
 	for _, t := range scan {
 		st := stateOf(t)
-		if st.registered && now.Sub(st.periodStart) >= st.res.Period {
+		if st.registered && !p.lazy(st) && now.Sub(st.periodStart) >= st.res.Period {
 			panic(fmt.Sprintf("rbs: verify: %v has an unrolled period at Pick", t))
 		}
 		if st.registered && st.budget <= 0 {
@@ -623,9 +683,10 @@ func (p *Policy) verifyPick(sh *shard, now sim.Time) {
 
 // auditWheel re-derives sh's boundary wheel from scratch and panics on any
 // divergence: bucket links must be symmetric, every filed node must sit
-// where its state says under the key periodEnd gives, every queued
-// registered thread must be filed exactly once and nothing else at all,
-// and curMin must not exceed any key in the current slot.
+// where its state says under the key periodEnd gives, every eagerly
+// rolled queued registered thread must be filed exactly once and nothing
+// else at all — no lazy thread — and curMin must not exceed any key in
+// the current slot.
 func (p *Policy) auditWheel(sh *shard) {
 	filed := make(map[uint32]int)
 	file := func(id uint32, level uint8, pos int) {
@@ -635,6 +696,9 @@ func (p *Policy) auditWheel(sh *shard) {
 		st := p.ws[id]
 		if !st.queued || !st.registered {
 			panic(fmt.Sprintf("rbs: verify: wheel node %d filed for a thread that is not queued and registered", id))
+		}
+		if p.lazy(st) {
+			panic(fmt.Sprintf("rbs: verify: lazy %v filed in the wheel", st.t))
 		}
 		t := st.t
 		at := int(st.boundSlot)
@@ -678,12 +742,12 @@ func (p *Policy) auditWheel(sh *shard) {
 		check(st)
 	}
 	for _, e := range sh.ready {
-		if e.st.registered {
+		if e.st.registered && !p.lazy(e.st) {
 			check(e.st)
 		}
 	}
 	if len(filed) != queued {
-		panic(fmt.Sprintf("rbs: verify: wheel files %d nodes for %d queued registered threads", len(filed), queued))
+		panic(fmt.Sprintf("rbs: verify: wheel files %d nodes for %d eagerly rolled threads", len(filed), queued))
 	}
 	for id := sh.buckets[sh.curSlot&bwMask]; id != 0; id = p.wn[id].next {
 		if k := p.wn[id].key; k < sh.curMin {
@@ -740,9 +804,11 @@ func (p *Policy) Charge(t *kernel.Thread, cpu int, ran sim.Duration, now sim.Tim
 		} else if st.queued {
 			// Stays queued with a spent budget (the legacy scan kept such
 			// threads in the runnable slice); Pick naps it next dispatch.
+			// Leaving the ready heap ends its lazy rolls, so it is filed.
 			sh := p.shardOf(t)
 			readyRemove(sh, st)
 			exhAdd(sh, st)
+			p.fileEager(sh, st)
 		}
 		return true
 	}

@@ -13,18 +13,18 @@ import (
 	"repro/internal/trace"
 )
 
-var updateGolden = flag.Bool("update", false, "rewrite testdata/goldens/rbs_smp.golden")
+var updateGolden = flag.Bool("update", false, "rewrite testdata/goldens/rbs_smp.golden and rbs_missed.golden")
 
 const smpGolden = "../../testdata/goldens/rbs_smp.golden"
 
-// smpTrace runs a churning 4-CPU machine under one discipline and returns
-// its dispatch, deschedule and migration events as CSV lines, plus the
-// kernel's totals. A few hundred threads with mixed, non-harmonic periods
-// arrive over time, compute, sleep and exit; some are pinned, some are
-// unregistered, and a timer renegotiates live reservations. Recycling is
-// on in both the kernel and the policy, so exited threads' objects and
-// scheduling state are reissued to later arrivals.
-func smpTrace(disc rbs.Discipline) (string, kernel.Stats) {
+// smpMachine builds and starts a churning 4-CPU machine under one
+// discipline, with a recorder attached. A few hundred threads with mixed,
+// non-harmonic periods arrive over time, compute, sleep and exit; some are
+// pinned, some are unregistered, and a timer renegotiates live
+// reservations. Recycling is on in both the kernel and the policy, so
+// exited threads' objects and scheduling state are reissued to later
+// arrivals.
+func smpMachine(disc rbs.Discipline) (*sim.Engine, *kernel.Kernel, *rbs.Policy, *trace.Recorder) {
 	const (
 		initial = 60
 		total   = 260
@@ -115,7 +115,17 @@ func smpTrace(disc rbs.Discipline) (string, kernel.Stats) {
 		k.AddTimer(now.Add(7*sim.Millisecond), renegotiate)
 	}
 	k.AddTimer(eng.Now().Add(7*sim.Millisecond), renegotiate)
-	eng.RunFor(500 * sim.Millisecond)
+	return eng, k, p, rec
+}
+
+// smpSpan is how long the churning rig runs.
+const smpSpan = 500 * sim.Millisecond
+
+// smpTrace runs the churning rig for smpSpan and returns its dispatch,
+// deschedule and migration events as CSV lines, plus the kernel's totals.
+func smpTrace(disc rbs.Discipline) (string, kernel.Stats) {
+	eng, k, _, rec := smpMachine(disc)
+	eng.RunFor(smpSpan)
 	k.Stop()
 
 	var sb strings.Builder
@@ -152,14 +162,20 @@ func TestRBSSMPTraceGolden(t *testing.T) {
 		fmt.Fprintf(&sb, "# %s dispatches=%d migrations=%d exits=%d\n", run.name, st.Dispatches, st.Migrations, st.Exits)
 		sb.WriteString(tr)
 	}
-	got := sb.String()
+	checkGolden(t, smpGolden, sb.String())
+}
+
+// checkGolden byte-compares got against the golden file at path, or
+// rewrites the file under -update.
+func checkGolden(t *testing.T, path, got string) {
+	t.Helper()
 	if *updateGolden {
-		if err := os.WriteFile(smpGolden, []byte(got), 0o644); err != nil {
+		if err := os.WriteFile(path, []byte(got), 0o644); err != nil {
 			t.Fatal(err)
 		}
 		return
 	}
-	want, err := os.ReadFile(smpGolden)
+	want, err := os.ReadFile(path)
 	if err != nil {
 		t.Fatalf("missing golden: %v", err)
 	}
@@ -167,9 +183,9 @@ func TestRBSSMPTraceGolden(t *testing.T) {
 		gl, wl := strings.Split(got, "\n"), strings.Split(string(want), "\n")
 		for i := 0; i < len(gl) && i < len(wl); i++ {
 			if gl[i] != wl[i] {
-				t.Fatalf("SMP trace diverged from %s at line %d:\n got %s\nwant %s", smpGolden, i+1, gl[i], wl[i])
+				t.Fatalf("output diverged from %s at line %d:\n got %s\nwant %s", path, i+1, gl[i], wl[i])
 			}
 		}
-		t.Fatalf("SMP trace diverged from %s: %d lines vs %d", smpGolden, len(gl), len(wl))
+		t.Fatalf("output diverged from %s: %d lines vs %d", path, len(gl), len(wl))
 	}
 }

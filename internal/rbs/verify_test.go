@@ -10,12 +10,15 @@ import (
 	"repro/internal/sim"
 )
 
-// auditMachine is a one-CPU Verify-mode machine whose wheel holds many
-// queued registered threads with unaligned period phases, so the current
-// slot and several buckets hold more than one entry.
-func auditMachine(t *testing.T) (*sim.Engine, *kernel.Kernel, *rbs.Policy) {
+// auditMachine is a one-CPU Verify-mode machine running many queued
+// registered threads with unaligned period phases. Under EDF the wheel
+// files all of them, so the current slot and several buckets hold more
+// than one entry; under RMS the ready ones are lazy and the wheel holds
+// only the exhausted few.
+func auditMachine(t *testing.T, disc rbs.Discipline) (*sim.Engine, *kernel.Kernel, *rbs.Policy) {
 	t.Helper()
 	eng, k, p := newMachine()
+	p.Discipline = disc
 	p.Verify = true
 	var threads []*kernel.Thread
 	for i := 0; i < 32; i++ {
@@ -59,21 +62,28 @@ func mustPanicWith(t *testing.T, want string, fn func()) {
 // TestVerifyAuditsFire pairs every from-scratch check of Verify's audit
 // with a corruption of the cached quantity it guards: each check must
 // pass on the intact shard and panic, with its own message, once that one
-// quantity is wrong.
+// quantity is wrong. The wheel checks run under EDF, where the wheel files
+// every queued registered thread; the lazy-thread check runs under RMS.
 func TestVerifyAuditsFire(t *testing.T) {
+	rms, edf := rbs.RMS, rbs.EDF
 	for _, tc := range []struct {
 		name    string
+		disc    rbs.Discipline
 		corrupt func(*rbs.Policy, int) bool
 		want    string
 	}{
-		{"ready-key", rbs.CorruptReadyKey, "ready key of"},
-		{"wheel-link", rbs.CorruptWheelLink, "wheel link asymmetry"},
-		{"node-key", rbs.CorruptNodeKey, "wheel node key"},
-		{"unfiled", rbs.UnfileNode, "filed 0 times"},
-		{"cur-min", rbs.RaiseCurMin, "curMin"},
+		{"ready-key", rms, rbs.CorruptReadyKey, "ready key of"},
+		{"ready-key-edf", edf, rbs.CorruptReadyKey, "ready key of"},
+		{"wheel-link", edf, rbs.CorruptWheelLink, "wheel link asymmetry"},
+		{"node-key", edf, rbs.CorruptNodeKey, "wheel node key"},
+		{"unfiled", edf, rbs.UnfileNode, "filed 0 times"},
+		{"cur-min", edf, rbs.RaiseCurMin, "curMin"},
+		{"lazy-filed", rms, rbs.FileLazy, "lazy"},
+		{"over-budget", rms, rbs.InflateBudget, "above its period budget"},
+		{"over-budget-edf", edf, rbs.InflateBudget, "above its period budget"},
 	} {
 		t.Run(tc.name, func(t *testing.T) {
-			eng, k, p := auditMachine(t)
+			eng, k, p := auditMachine(t, tc.disc)
 			// Step until the shard holds what the corruption needs (the
 			// current slot is often empty between boundaries).
 			for step := 0; ; step++ {

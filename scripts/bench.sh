@@ -19,8 +19,8 @@ go test -run '^$' -bench 'BenchmarkSimulatedSecondOneHog|BenchmarkSimulatedSecon
     -benchmem ./internal/kernel/ >>"$tmp" 2>&1
 
 # Dispatcher-layer bench: one rbs Pick over ~3,000 queued registered
-# threads per CPU on 8 CPUs (boundary-wheel drain + ready heap); must stay
-# at 0 allocs/op.
+# threads per CPU on 8 CPUs, under RMS (lazy rolls: ready heap only) and
+# EDF (boundary-wheel drain + ready heap); must stay at 0 allocs/op.
 go test -run '^$' -bench 'BenchmarkPickDrain' -benchmem ./internal/rbs/ >>"$tmp" 2>&1
 
 # Scheduler-core scaling bench: dispatch cost versus thread count.

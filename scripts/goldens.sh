@@ -1,10 +1,11 @@
 #!/usr/bin/env bash
 # Regenerates the Figure 5-8 outputs, two generated-workload sweeps (the
 # default controller, and the 4-shard event-driven plane, across every
-# scenario family on 1 and several CPUs with churn) and the two dispatch
-# traces (the 1-CPU pipeline, the 4-CPU rbs churn), and byte-compares them
-# against the committed goldens in testdata/goldens/. Any drift in the
-# dispatch schedule or controller arithmetic fails the build.
+# scenario family on 1 and several CPUs with churn), the two dispatch
+# traces (the 1-CPU pipeline, the 4-CPU rbs churn) and the rbs miss-ledger
+# series, and byte-compares them against the committed goldens in
+# testdata/goldens/. Any drift in the dispatch schedule, the missed-deadline
+# count or controller arithmetic fails the build.
 #
 # To re-bless after an intentional change: scripts/goldens.sh -update
 set -euo pipefail
@@ -38,6 +39,19 @@ elif go test -run 'TestRBSSMPTraceGolden' -count=1 ./internal/rbs >/dev/null; th
   echo "rbs_smp (CPUs=4, RMS+EDF): byte-identical"
 else
   echo "rbs_smp (CPUs=4, RMS+EDF): diverged" >&2
+  status=1
+fi
+
+# rbs miss ledger: the MissedDeadlines series read through the churning
+# 4-CPU rig (RMS and EDF), a 2k-thread storm and a one-CPU long-slice rig
+# must reproduce testdata/goldens/rbs_missed.golden byte-for-byte.
+if [ "$update" = 1 ]; then
+  go test -run 'TestMissLedgerGolden' -count=1 ./internal/rbs -update >/dev/null
+  echo "rbs_missed: updated"
+elif go test -run 'TestMissLedgerGolden' -count=1 ./internal/rbs >/dev/null; then
+  echo "rbs_missed (miss series, 4 rigs): byte-identical"
+else
+  echo "rbs_missed (miss series, 4 rigs): diverged" >&2
   status=1
 fi
 
